@@ -27,21 +27,31 @@ import time
 from . import covariants, formulas, generators
 from .modules import ModuleSpec, module_spec
 from .parsing import ParseError, format_polynomial, parse_polynomial
-from .poly import delta, delta_power, norm, transfer, weight
+from .poly import _compositions, delta, delta_power, norm, transfer, weight
 
 
 class UsageError(Exception):
     pass
 
 
-def _blocks(text: str):
+def _ints(text: str):
     try:
-        sizes = [int(s) for s in text.split(",") if s.strip() != ""]
+        values = [int(s) for s in text.split(",") if s.strip() != ""]
     except ValueError:
-        raise UsageError(f"bad block list {text!r}: expected comma-separated integers")
-    if not sizes:
-        raise UsageError(f"bad block list {text!r}: empty")
-    return sizes
+        values = []
+    if not values:
+        raise UsageError(f"expected a comma-separated list of integers, got {text!r}")
+    return values
+
+
+def _cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return cap
 
 
 def _vspec(p: int, blocks) -> ModuleSpec:
@@ -55,7 +65,7 @@ def _vspec(p: int, blocks) -> ModuleSpec:
 
 
 def cmd_act(args) -> int:
-    vspec = _vspec(args.p, _blocks(args.v))
+    vspec = _vspec(args.p, _ints(args.v))
     op = args.op.strip()
     try:
         f = parse_polynomial(args.expr, vspec)
@@ -93,25 +103,27 @@ def cmd_act(args) -> int:
 # -- beta and sweep -----------------------------------------------------
 
 
+# report entry schema: JSON key order and CSV columns
+_FIELDS = (
+    "p", "v_blocks", "w_blocks", "status", "case_label", "beta_formula",
+    "beta_computed", "generator_degrees", "cap_used", "cap_certificate",
+    "agree", "elapsed_ms",
+)
+
+
+def _entry(p, v_blocks, w_blocks, status):
+    """A report entry with every field of the schema, results unset."""
+    entry = dict.fromkeys(_FIELDS)
+    entry.update(p=p, v_blocks=list(v_blocks), w_blocks=list(w_blocks), status=status)
+    return entry
+
+
 def _case_result(p, v_blocks, w_blocks, mode, cap_override=None):
     """One comparison entry of the report (beta/sweep share this)."""
     vspec = _vspec(p, v_blocks)
     wspec = _vspec(p, w_blocks)
     start = time.monotonic()
-    entry = {
-        "p": p,
-        "v_blocks": list(v_blocks),
-        "w_blocks": list(w_blocks),
-        "status": "ok",
-        "case_label": None,
-        "beta_formula": None,
-        "beta_computed": None,
-        "generator_degrees": None,
-        "cap_used": None,
-        "cap_certificate": None,
-        "agree": None,
-        "elapsed_ms": None,
-    }
+    entry = _entry(p, v_blocks, w_blocks, "ok")
     if mode in ("formula", "both"):
         value, label = formulas.beta_covariants_formula(vspec, wspec)
         entry["beta_formula"] = value
@@ -146,7 +158,7 @@ def _case_result(p, v_blocks, w_blocks, mode, cap_override=None):
 
 
 def cmd_beta(args) -> int:
-    entry = _case_result(args.p, _blocks(args.v), _blocks(args.w), args.mode, args.cap)
+    entry = _case_result(args.p, _ints(args.v), _ints(args.w), args.mode, args.cap)
     print(json.dumps(entry, indent=2))
     if args.mode == "both" and not entry["agree"]:
         return 1
@@ -161,24 +173,17 @@ def _max_piece_dim(p, v_blocks):
         return 1
     m = len(vred)
     dim = sum(vred)
-    gamma_bound = formulas.coinvariant_top_degree_bound(
-        module_spec(p, vred)
-    )
+    gamma_bound = formulas.coinvariant_top_degree_bound(_vspec(p, vred))
     cap = max(p, m * p - dim, gamma_bound)
-    best = 0
-    for combo in itertools.product(*(range(cap + 1) for _ in range(m))):
-        if sum(combo) != cap:
-            continue
-        size = 1
-        for d, n in zip(combo, vred):
-            size *= math.comb(d + n - 1, n - 1)
-        best = max(best, size)
-    return best
+    return max(
+        math.prod(math.comb(d + n - 1, n - 1) for d, n in zip(combo, vred))
+        for combo in _compositions(cap, m)
+    )
 
 
 def cmd_sweep(args) -> int:
-    p_list = [int(s) for s in args.p.split(",")]
-    w_sizes = [int(s) for s in args.w.split(",")]
+    p_list = _ints(args.p)
+    w_sizes = _ints(args.w)
     cases = []
     for p in p_list:
         sizes = range(2, min(args.max_block_size, p) + 1)
@@ -190,40 +195,20 @@ def cmd_sweep(args) -> int:
     entries = []
     for p, v_blocks, w_blocks in cases:
         if args.max_piece_dim and _max_piece_dim(p, v_blocks) > args.max_piece_dim:
-            entries.append(
-                {
-                    "p": p,
-                    "v_blocks": v_blocks,
-                    "w_blocks": w_blocks,
-                    "status": "skipped: budget",
-                    "case_label": None,
-                    "beta_formula": None,
-                    "beta_computed": None,
-                    "generator_degrees": None,
-                    "cap_used": None,
-                    "cap_certificate": None,
-                    "agree": None,
-                    "elapsed_ms": None,
-                }
-            )
+            entries.append(_entry(p, v_blocks, w_blocks, "skipped: budget"))
             continue
         entry = _case_result(p, v_blocks, w_blocks, "both", args.cap)
         if args.max_case_seconds and entry["elapsed_ms"] > args.max_case_seconds * 1000:
             entry["status"] = "over budget"
         entries.append(entry)
     report = {"cases": entries}
-    fields = [
-        "p", "v_blocks", "w_blocks", "status", "case_label", "beta_formula",
-        "beta_computed", "generator_degrees", "cap_used", "cap_certificate",
-        "agree", "elapsed_ms",
-    ]
     try:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
         csv_path = re.sub(r"\.json$", "", args.out) + ".csv"
         with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=_FIELDS)
             writer.writeheader()
             for e in entries:
                 row = dict(e)
@@ -244,8 +229,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    vspec = _vspec(args.p, _blocks(args.v))
-    wspec = _vspec(args.p, _blocks(args.w))
+    vspec = _vspec(args.p, _ints(args.v))
+    wspec = _vspec(args.p, _ints(args.w))
     if wspec.num_blocks != 1:
         raise UsageError("W must be a single block")
     if args.file == "-":
@@ -311,7 +296,7 @@ def _build_parser():
     b.add_argument("--v", required=True)
     b.add_argument("--w", required=True)
     b.add_argument("--mode", choices=["formula", "compute", "both"], default="both")
-    b.add_argument("--cap", type=int, default=None, help="degree cap override")
+    b.add_argument("--cap", type=_cap, default=None, help="degree cap override")
     b.set_defaults(func=cmd_beta)
 
     s = sub.add_parser("sweep", help="run a family of beta comparisons")
@@ -320,7 +305,7 @@ def _build_parser():
     s.add_argument("--max-block-size", type=int, required=True)
     s.add_argument("--w", required=True, help="comma-separated W block sizes")
     s.add_argument("--out", required=True, help="JSON report path (CSV written next to it)")
-    s.add_argument("--cap", type=int, default=None, help="degree cap override")
+    s.add_argument("--cap", type=_cap, default=None, help="degree cap override")
     s.add_argument("--max-piece-dim", type=int, default=None,
                    help="skip cases whose largest graded piece exceeds this")
     s.add_argument("--max-case-seconds", type=float, default=None,

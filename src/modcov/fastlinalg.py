@@ -124,12 +124,6 @@ class Echelon:
     def rank(self) -> int:
         return self.rows.shape[0]
 
-    def clone(self) -> "Echelon":
-        e = Echelon(self.p, self.ncols)
-        e.rows = self.rows.copy()
-        e.pivcols = self.pivcols.copy()
-        return e
-
     def reduce(self, m):
         """Reduce rows of m modulo the current span (full reduction)."""
         m = asmod(m, self.p)

@@ -32,7 +32,7 @@ from .chains import PieceChains, multiplication_map
 from .fastlinalg import Echelon, asmod
 from .fastlinalg import matmul_mod as _mm
 from .modules import ModuleSpec
-from .poly import Polynomial, _compositions
+from .poly import Polynomial, _compositions, var_index, variables
 
 __all__ = [
     "BetaReport",
@@ -74,9 +74,6 @@ class BetaReport:
             out.extend([d] * self.generator_counts[d])
         return out
 
-    def total_generators(self) -> int:
-        return sum(self.generator_counts.values())
-
 
 @dataclass(frozen=True)
 class _Gen:
@@ -85,23 +82,25 @@ class _Gen:
     poly: Polynomial
 
 
+@dataclass
+class _Graded:
+    """One graded object as computed so far: generator counts by degree,
+    the minimal generators in discovery order, and the last degree done."""
+
+    counts: dict
+    gens: list
+    done: int = 0
+
+
 def _permute_poly(f: Polynomial, blockperm) -> Polynomial:
     """Relabel block variables: block t takes its exponents from block
     blockperm[t] (blocks of equal size only, an algebra automorphism
     commuting with the group action)."""
     vspec = f.vspec
-    offsets = []
-    off = 0
-    for n in vspec.blocks:
-        offsets.append(off)
-        off += n
-    varmap = [0] * vspec.dim
-    for t, s in enumerate(blockperm):
-        for r in range(vspec.blocks[t]):
-            varmap[offsets[t] + r] = offsets[s] + r
+    varmap = [var_index(vspec, i, blockperm[j - 1] + 1) for i, j in variables(vspec)]
     terms = {}
     for mon, c in f.terms.items():
-        terms[tuple(mon[varmap[i]] for i in range(vspec.dim))] = c
+        terms[tuple(mon[k] for k in varmap)] = c
     return Polynomial(vspec, terms)
 
 
@@ -117,30 +116,26 @@ class GradedEngine:
         self._pieces = {}  # multidegree -> PieceChains
         self._inv = {}  # multidegree -> invariant row matrix
         self._canon = {}  # multidegree -> (canonical md, block permutation)
-        # algebra / coinvariant state, extended degree by degree
-        self._alg_gens = []  # _Gen, in discovery order
-        self._alg_counts = {}
-        self._coinv_counts = {0: 1}
-        self._module_gens = [
-            _Gen(0, (0,) * self.m, Polynomial.constant(vspec, 1))
-        ]
+        # algebra generators and k[V] over A (the coinvariants), extended
+        # together degree by degree; covariant modules k[V,V_n]^G by n
+        self._alg = _Graded({}, [])
+        one = _Gen(0, (0,) * self.m, Polynomial.constant(vspec, 1))
+        self._coinv = _Graded({0: 1}, [one])
         self._gamma = None  # known once coinvariants hit zero
-        self._alg_done = 0  # algebra counts computed through this degree
-        self._cov = {}  # n -> (counts, gens, done_through)
+        self._cov = {}
 
     # -- pieces ---------------------------------------------------------
-
-    def _multidegrees(self, d):
-        return list(_compositions(d, self.m))
 
     def _canonical_md(self, md):
         """(canonical multidegree, block permutation) under permutations of
         equal-size blocks; the permutation maps the canonical piece onto
         this one (block t reads from canonical block perm[t]).
 
-        Pieces in the same orbit are isomorphic as graded representations,
-        so generator counts agree and generators transport by relabeling;
-        only canonical pieces are computed directly.
+        Within each block size the canonical degrees descend, and blocks of
+        equal degree keep their order (a stable sort).  Pieces in the same
+        orbit are isomorphic as graded representations, so generator counts
+        agree and generators transport by relabeling; only canonical pieces
+        are computed directly.
         """
         cached = self._canon.get(md)
         if cached is not None:
@@ -148,18 +143,10 @@ class GradedEngine:
         canon = list(md)
         perm = list(range(self.m))
         for size in set(self.vspec.blocks):
-            positions = [i for i, n in enumerate(self.vspec.blocks) if n == size]
-            degs = sorted((md[i] for i in positions), reverse=True)
-            for pos, deg in zip(positions, degs):
-                canon[pos] = deg
-            # match each original degree to a canonical slot holding it
-            unused = list(positions)
-            for pos in positions:
-                for k, src in enumerate(unused):
-                    if canon[src] == md[pos]:
-                        perm[pos] = src
-                        del unused[k]
-                        break
+            slots = [i for i, n in enumerate(self.vspec.blocks) if n == size]
+            for slot, t in zip(slots, sorted(slots, key=lambda i: -md[i])):
+                canon[slot] = md[t]
+                perm[t] = slot
         result = (tuple(canon), perm)
         self._canon[md] = result
         return result
@@ -173,6 +160,14 @@ class GradedEngine:
         if md not in self._inv:
             self._inv[md] = self._chains(md).invariant_matrix()
         return self._inv[md]
+
+    def _monomials(self, index, skip):
+        """Monomials of a piece at the columns where the mask skip is False."""
+        exps = index.exponents()
+        return [
+            Polynomial.from_monomial(self.vspec, [int(e) for e in exps[i]])
+            for i in np.flatnonzero(~skip)
+        ]
 
     # -- spans of lower-degree products ---------------------------------
 
@@ -202,101 +197,111 @@ class GradedEngine:
             ech.add_rows(np.concatenate(batches, axis=0))
         return ech
 
-    # -- algebra generators and coinvariants, interleaved ----------------
+    # -- one graded step ------------------------------------------------
 
-    def _algebra_step(self, d):
-        count = 0
+    def _step(self, obj: _Graded, d, piece_gens):
+        """Extend obj through degree d.  piece_gens(md) returns the new
+        minimal generators of a canonical piece; every other piece gets
+        relabeled copies from its canonical piece.
+
+        Generators are appended canonical pieces first, in _compositions
+        order, then the copies: witnesses and the echelon pivot choices of
+        later degrees depend on this order.
+        """
+        mds = list(_compositions(d, self.m))
         produced = {}  # canonical md -> new generator polynomials
-        mds = self._multidegrees(d)
         for md in mds:
-            if self._canonical_md(md)[0] != md:
-                continue
-            inv = self._inv_rows(md)
-            if inv.shape[0] == 0:
-                produced[md] = []
-                continue
-            ech = self._span_echelon(md, d, self._alg_gens)
-            new = ech.add_rows(inv, origins=list(range(inv.shape[0])))
-            index = self._chains(md).index
-            polys = [index.vector_to_poly(inv[i]) for i in new]
-            produced[md] = polys
-            for f in polys:
-                self._alg_gens.append(_Gen(d, md, f))
-            count += len(polys)
+            if self._canonical_md(md)[0] == md:
+                produced[md] = piece_gens(md)
+                obj.gens.extend(_Gen(d, md, f) for f in produced[md])
+        count = 0
         for md in mds:
             canon, perm = self._canonical_md(md)
-            if canon == md:
-                continue
-            for f in produced[canon]:
-                self._alg_gens.append(_Gen(d, md, _permute_poly(f, perm)))
             count += len(produced[canon])
-        self._alg_counts[d] = count
+            if canon != md:
+                obj.gens.extend(
+                    _Gen(d, md, _permute_poly(f, perm)) for f in produced[canon]
+                )
+        obj.counts[d] = count
+        obj.done = d
 
-    def _coinv_step(self, d):
-        """Coinvariant dimension in degree d; records monomial lifts of a
-        coinvariant basis (module generators of k[V] over A)."""
-        total = 0
-        produced = {}  # canonical md -> new module generator monomials
-        mds = self._multidegrees(d)
-        for md in mds:
-            if self._canonical_md(md)[0] != md:
+    def _algebra_piece(self, md, d):
+        """Invariants of piece md outside the span of lower products."""
+        inv = self._inv_rows(md)
+        if inv.shape[0] == 0:
+            return []
+        ech = self._span_echelon(md, d, self._alg.gens)
+        new = ech.add_rows(inv, origins=list(range(inv.shape[0])))
+        index = self._chains(md).index
+        return [index.vector_to_poly(inv[i]) for i in new]
+
+    def _coinv_piece(self, md, d):
+        """Monomial lifts of a coinvariant basis of piece md (module
+        generators of k[V] over A)."""
+        target = self._chains(md).index
+        c = target.size
+        marked = np.zeros(c, dtype=bool)
+        batches = []
+        for g in self._alg.gens:
+            if g.degree > d:
                 continue
-            produced[md] = []
-            target = self._chains(md).index
-            c = target.size
-            marked = np.zeros(c, dtype=bool)
-            batches = []
-            for g in self._alg_gens:
-                if g.degree > d:
-                    continue
-                qmd = tuple(a - b for a, b in zip(md, g.multidegree))
-                if any(q < 0 for q in qmd):
-                    continue
-                qidx = self._chains(qmd).index
-                if len(g.poly.terms) == 1:
-                    # monomial generator: its multiples are monomials
-                    (mon,) = g.poly.terms
-                    shifted = qidx.exponents() + np.array(mon, dtype=np.int64)
-                    marked[target.rank(shifted)] = True
-                else:
-                    mult = multiplication_map(g.poly, qidx, target)
-                    batches.append(mult.T)
-            ech = Echelon(self.p, c)
-            if batches:
-                rows = asmod(np.concatenate(batches, axis=0), self.p)
-                # iterated singleton elimination: a row with a single
-                # nonzero entry puts that unit vector in the span, so its
-                # column can be cleared from every other row
-                while True:
-                    rows[:, marked] = 0
-                    nnz = np.count_nonzero(rows, axis=1)
-                    singles = np.nonzero(nnz == 1)[0]
-                    if singles.size == 0:
-                        rows = rows[nnz > 1]
-                        break
-                    marked[(rows[singles] != 0).argmax(axis=1)] = True
+            qmd = tuple(a - b for a, b in zip(md, g.multidegree))
+            if any(q < 0 for q in qmd):
+                continue
+            qidx = self._chains(qmd).index
+            if len(g.poly.terms) == 1:
+                # monomial generator: its multiples are monomials
+                (mon,) = g.poly.terms
+                shifted = qidx.exponents() + np.array(mon, dtype=np.int64)
+                marked[target.rank(shifted)] = True
+            else:
+                mult = multiplication_map(g.poly, qidx, target)
+                batches.append(mult.T)
+        ech = Echelon(self.p, c)
+        if batches:
+            rows = asmod(np.concatenate(batches, axis=0), self.p)
+            # iterated singleton elimination: a row with a single
+            # nonzero entry puts that unit vector in the span, so its
+            # column can be cleared from every other row
+            while True:
+                rows[:, marked] = 0
+                nnz = np.count_nonzero(rows, axis=1)
+                singles = np.nonzero(nnz == 1)[0]
+                if singles.size == 0:
                     rows = rows[nnz > 1]
-                ech.add_rows(rows)
-            count = c - int(marked.sum()) - ech.rank
-            if count:
-                pivset = set(int(x) for x in ech.pivcols)
-                exps = target.exponents()
-                for i in range(c):
-                    if not marked[i] and i not in pivset:
-                        f = Polynomial.from_monomial(
-                            self.vspec, [int(e) for e in exps[i]]
-                        )
-                        produced[md].append(f)
-                        self._module_gens.append(_Gen(d, md, f))
-            total += count
-        for md in mds:
-            canon, perm = self._canonical_md(md)
-            if canon == md:
-                continue
-            for f in produced[canon]:
-                self._module_gens.append(_Gen(d, md, _permute_poly(f, perm)))
-            total += len(produced[canon])
-        return total
+                    break
+                marked[(rows[singles] != 0).argmax(axis=1)] = True
+                rows = rows[nnz > 1]
+            ech.add_rows(rows)
+        count = c - int(marked.sum()) - ech.rank
+        marked[ech.pivcols] = True
+        polys = self._monomials(target, marked)
+        assert len(polys) == count
+        return polys
+
+    def _covariant_piece(self, md, d, n, gens):
+        """Weight <= n elements of piece md outside the span of (positive
+        degree invariants) * (module generators of lower degree)."""
+        pc = self._chains(md)
+        dim_m = pc.dim_weight_le(n)
+        if dim_m == 0:
+            return []
+        ech = self._span_echelon(md, d, gens)
+        rank = ech.rank
+        assert rank <= dim_m
+        if rank == dim_m:
+            return []
+        if dim_m == pc.index.size:
+            # full piece: non-pivot unit monomials are generators
+            pivots = np.zeros(pc.index.size, dtype=bool)
+            pivots[ech.pivcols] = True
+            new_polys = self._monomials(pc.index, pivots)
+        else:
+            cand = pc.weight_le_matrix(n)
+            new = ech.add_rows(cand, origins=list(range(cand.shape[0])))
+            new_polys = [pc.index.vector_to_poly(cand[i]) for i in new]
+        assert len(new_polys) == dim_m - rank
+        return new_polys
 
     def _gamma_bound(self) -> int:
         """Certified upper bound for gamma from the block profile of the
@@ -314,26 +319,23 @@ class GradedEngine:
         bound = self._gamma_bound()
         if self._gamma is None and bound == 0:
             self._gamma = 0
-        d = self._alg_done
+        d = self._alg.done
         while True:
             cap = self.algebra_cap() if self._gamma is not None else None
             need = max(through or 0, cap or 0)
             if cap is not None and d >= need:
                 return
             d += 1
-            self._algebra_step(d)
+            self._step(self._alg, d, lambda md: self._algebra_piece(md, d))
             if self._gamma is None:
-                total = self._coinv_step(d)
-                if total == 0:
+                self._step(self._coinv, d, lambda md: self._coinv_piece(md, d))
+                if self._coinv.counts[d] == 0:
                     self._gamma = d - 1
-                else:
-                    self._coinv_counts[d] = total
-                    if d >= bound:
-                        # still nonzero at the certified top-degree bound:
-                        # the bound pins gamma exactly, no need to watch
-                        # the coinvariants vanish one degree later
-                        self._gamma = d
-            self._alg_done = d
+                elif d >= bound:
+                    # still nonzero at the certified top-degree bound:
+                    # the bound pins gamma exactly, no need to watch
+                    # the coinvariants vanish one degree later
+                    self._gamma = d
 
     @property
     def gamma(self) -> int:
@@ -353,72 +355,21 @@ class GradedEngine:
         """Generator counts for k[V,V_n]^G through max(certified cap, through)."""
         cap = self.covariant_cap()
         need = max(cap, through or 0)
+        self.ensure_algebra()
         if n == 1 or n >= self.p:
             # weight <= 1 cuts out A itself (generated by 1); weight <= p
             # is no constraint at all, so the module is k[V] and its
             # minimal generators are the coinvariant lifts
-            self.ensure_algebra()
-            if n not in self._cov or self._cov[n][2] < need:
-                if n == 1:
-                    counts = {d: (1 if d == 0 else 0) for d in range(need + 1)}
-                    gens = [self._module_gens[0]]
-                else:
-                    counts = {
-                        d: self._coinv_counts.get(d, 0) for d in range(need + 1)
-                    }
-                    gens = list(self._module_gens)
-                self._cov[n] = (counts, gens, need)
+            if n not in self._cov or self._cov[n].done < need:
+                gens = self._coinv.gens if n > 1 else self._coinv.gens[:1]
+                counts = {d: 0 for d in range(need + 1)}
+                for g in gens:
+                    counts[g.degree] += 1
+                self._cov[n] = _Graded(counts, list(gens), need)
             return
-        counts, gens, done = self._cov.get(
-            n, ({0: 1}, [_Gen(0, (0,) * self.m, Polynomial.constant(self.vspec, 1))], 0)
-        )
-        self.ensure_algebra()
-        for d in range(done + 1, need + 1):
-            cnt = 0
-            produced = {}  # canonical md -> new generator weight polynomials
-            mds = self._multidegrees(d)
-            for md in mds:
-                if self._canonical_md(md)[0] != md:
-                    continue
-                produced[md] = []
-                pc = self._chains(md)
-                dim_m = pc.dim_weight_le(n)
-                if dim_m == 0:
-                    continue
-                ech = self._span_echelon(md, d, gens)
-                rank = ech.rank
-                assert rank <= dim_m
-                if rank == dim_m:
-                    continue
-                if dim_m == pc.index.size:
-                    # full piece: non-pivot unit monomials are generators
-                    pivset = set(int(x) for x in ech.pivcols)
-                    exps = pc.index.exponents()
-                    new_polys = [
-                        Polynomial.from_monomial(
-                            self.vspec, [int(e) for e in exps[i]]
-                        )
-                        for i in range(pc.index.size)
-                        if i not in pivset
-                    ]
-                else:
-                    cand = pc.weight_le_matrix(n)
-                    new = ech.add_rows(cand, origins=list(range(cand.shape[0])))
-                    new_polys = [pc.index.vector_to_poly(cand[i]) for i in new]
-                assert len(new_polys) == dim_m - rank
-                produced[md] = new_polys
-                gens.extend(_Gen(d, md, f) for f in new_polys)
-                cnt += len(new_polys)
-            for md in mds:
-                canon, perm = self._canonical_md(md)
-                if canon == md:
-                    continue
-                gens.extend(
-                    _Gen(d, md, _permute_poly(f, perm)) for f in produced[canon]
-                )
-                cnt += len(produced[canon])
-            counts[d] = cnt
-        self._cov[n] = (counts, gens, max(done, need))
+        obj = self._cov.setdefault(n, _Graded({0: 1}, self._coinv.gens[:1]))
+        for d in range(obj.done + 1, need + 1):
+            self._step(obj, d, lambda md: self._covariant_piece(md, d, n, obj.gens))
 
 
 _engine_slot = [None]
@@ -434,7 +385,9 @@ def _engine(vspec: ModuleSpec) -> GradedEngine:
     return eng
 
 
-def _finish_report(target, counts, certified_cap, certificate, cap_override, witnesses):
+def _report(target, obj: _Graded, certified_cap, certificate, cap_override=None):
+    """BetaReport of obj through the certified cap or the override; the
+    witness of each degree is its first generator in discovery order."""
     if cap_override is None:
         cap_used = certified_cap
         certified = True
@@ -443,18 +396,20 @@ def _finish_report(target, counts, certified_cap, certificate, cap_override, wit
             raise ValueError("cap override must be >= 0")
         cap_used = cap_override
         certified = cap_override >= certified_cap
-    kept = {d: c for d, c in counts.items() if d <= cap_used}
+    kept = {d: c for d, c in obj.counts.items() if d <= cap_used}
     nonzero = [d for d, c in kept.items() if c]
-    beta = max(nonzero) if nonzero else 0
-    wit = {d: w for d, w in witnesses.items() if d <= cap_used}
+    witnesses = {}
+    for g in obj.gens:
+        if g.degree <= cap_used:
+            witnesses.setdefault(g.degree, g.poly)
     return BetaReport(
         target=target,
         generator_counts=kept,
-        beta=beta,
+        beta=max(nonzero) if nonzero else 0,
         cap_used=cap_used,
         cap_certificate=certificate,
         certified=certified,
-        witnesses=wit,
+        witnesses=witnesses,
     )
 
 
@@ -463,7 +418,7 @@ def coinvariants_dims(vspec: ModuleSpec):
     is zero in every higher degree because k[V] is generated in degree 1)."""
     eng = _engine(vspec)
     eng.ensure_algebra()
-    return [eng._coinv_counts[d] for d in range(eng.gamma + 1)]
+    return [eng._coinv.counts[d] for d in range(eng.gamma + 1)]
 
 
 def gamma(vspec: ModuleSpec) -> int:
@@ -476,26 +431,15 @@ def module_generators(vspec: ModuleSpec):
     coinvariant basis), in increasing degree; starts with 1."""
     eng = _engine(vspec)
     eng.ensure_algebra()
-    return [g.poly for g in eng._module_gens]
+    return [g.poly for g in eng._coinv.gens]
 
 
 def polynomial_module_beta(vspec: ModuleSpec) -> BetaReport:
     """Minimal generators of k[V] over k[V]^G; counts = coinvariant dims."""
     eng = _engine(vspec)
-    eng.ensure_algebra()
     g = eng.gamma
-    counts = {d: eng._coinv_counts[d] for d in range(g + 1)}
-    witnesses = {}
-    for gen in eng._module_gens:
-        witnesses.setdefault(gen.degree, gen.poly)
-    return BetaReport(
-        target="polynomial-module",
-        generator_counts=counts,
-        beta=g,
-        cap_used=g,
-        cap_certificate=f"coinvariants vanish above degree gamma = {g}",
-        witnesses=witnesses,
-    )
+    cert = f"coinvariants vanish above degree gamma = {g}"
+    return _report("polynomial-module", eng._coinv, g, cert)
 
 
 def algebra_beta(vspec: ModuleSpec, cap_override=None) -> BetaReport:
@@ -508,15 +452,11 @@ def algebra_beta(vspec: ModuleSpec, cap_override=None) -> BetaReport:
     eng = _engine(vspec)
     cap = eng.algebra_cap()
     eng.ensure_algebra(through=cap_override)
-    counts = dict(eng._alg_counts)
-    witnesses = {}
-    for g in eng._alg_gens:
-        witnesses.setdefault(g.degree, g.poly)
     cert = (
         f"max(p = {eng.p}, m*p - dim(V) = {eng.m * eng.p - vspec.dim}, "
         f"gamma = {eng.gamma}) = {cap}"
     )
-    return _finish_report("algebra", counts, cap, cert, cap_override, witnesses)
+    return _report("algebra", eng._alg, cap, cert, cap_override)
 
 
 def covariant_beta(vspec: ModuleSpec, wspec: ModuleSpec, cap_override=None) -> BetaReport:
@@ -534,17 +474,11 @@ def covariant_beta(vspec: ModuleSpec, wspec: ModuleSpec, cap_override=None) -> B
     eng = _engine(vspec)
     cap = eng.covariant_cap()
     eng.ensure_covariant(n, through=cap_override)
-    counts, gens, _ = eng._cov[n]
-    witnesses = {}
-    for g in gens:
-        witnesses.setdefault(g.degree, g.poly)
     cert = (
         f"max(gamma = {eng.gamma}, m*p - dim(V) = "
         f"{eng.m * eng.p - vspec.dim}) = {cap}"
     )
-    return _finish_report(
-        "covariant-module", counts, cap, cert, cap_override, witnesses
-    )
+    return _report("covariant-module", eng._cov[n], cap, cert, cap_override)
 
 
 def is_decomposable_invariant(f: Polynomial, lower_gens=None) -> bool:
@@ -562,7 +496,7 @@ def is_decomposable_invariant(f: Polynomial, lower_gens=None) -> bool:
     eng = _engine(f.vspec)
     if lower_gens is None:
         eng.ensure_algebra(through=d)
-        gens = [g for g in eng._alg_gens if g.degree < d]
+        gens = [g for g in eng._alg.gens if g.degree < d]
     else:
         gens = [
             _Gen(g.total_degree(), g.multidegree(), g)
@@ -583,8 +517,8 @@ def is_decomposable_covariant(h) -> bool:
     n = h.n
     eng = _engine(h.vspec)
     eng.ensure_covariant(n, through=d)
-    _, gens, _ = eng._cov[n]
-    return _components_in_span(eng, f1, d, [g for g in gens if g.degree < d])
+    gens = [g for g in eng._cov[n].gens if g.degree < d]
+    return _components_in_span(eng, f1, d, gens)
 
 
 def _components_in_span(eng, f, d, gens):

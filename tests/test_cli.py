@@ -2,7 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import modcov
 from modcov.cli import main
 from modcov.modules import module_spec
 from modcov.parsing import parse_polynomial
@@ -147,3 +153,30 @@ def test_decompose_rejects_non_covariant(tmp_path, capsys):
         ["decompose", "--p", "3", "--v", "2", "--w", "2", "--j", "1", str(f)]
     ) == 2
     assert "error:" in capsys.readouterr().err
+
+
+_SWEEP = ["sweep", "--max-blocks", "1", "--max-block-size", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _SWEEP + ["--p", "4", "--w", "1", "--max-piece-dim", "10"],
+        _SWEEP + ["--p", "2,x", "--w", "1"],
+        _SWEEP + ["--p", "2", "--w", "x"],
+        _SWEEP + ["--p", "2", "--w", "1", "--cap", "-1"],
+        ["beta", "--p", "3", "--v", "2", "--w", "2", "--cap", "-1"],
+    ],
+)
+def test_bad_input_exits_2_without_traceback(argv, tmp_path):
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(tmp_path / "r.json")]
+    src = os.path.dirname(os.path.dirname(modcov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "modcov.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

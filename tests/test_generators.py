@@ -1,6 +1,7 @@
 """Minimal generator degrees: known small cases and internal consistency."""
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from modcov.covariants import covariant_basis, from_weight_poly
 from modcov.formulas import beta_invariants_formula, coinvariant_top_degree_bound
 from modcov.generators import (
     GradedEngine,
+    _permute_poly,
     algebra_beta,
     coinvariants_dims,
     covariant_beta,
@@ -20,7 +22,9 @@ from modcov.generators import (
 from modcov.modules import module_spec
 from modcov.poly import (
     Polynomial,
+    _compositions,
     delta_power,
+    graded_basis,
     is_invariant,
     norm,
 )
@@ -205,6 +209,49 @@ def test_fresh_engines_agree():
     b = GradedEngine(v)
     a.ensure_algebra()
     b.ensure_algebra()
-    assert a._alg_counts == b._alg_counts
-    assert a._coinv_counts == b._coinv_counts
+    assert a._alg.counts == b._alg.counts
+    assert a._coinv.counts == b._coinv.counts
     assert a.gamma == b.gamma
+
+
+@pytest.mark.parametrize("blocks", [(3, 3, 3), (3, 2, 3)])
+def test_canonical_md_orbit_transport(blocks):
+    v = module_spec(3, list(blocks))
+    eng = GradedEngine(v)
+    for d in range(5):
+        for md in _compositions(d, len(blocks)):
+            canon, perm = eng._canonical_md(md)
+            for size in set(blocks):
+                slots = [i for i, n in enumerate(blocks) if n == size]
+                # canonical degrees descend within each block size
+                degs = [canon[i] for i in slots]
+                assert degs == sorted(degs, reverse=True)
+                # equal-size, equal-degree blocks keep their order
+                for s, t in combinations(slots, 2):
+                    if md[s] == md[t]:
+                        assert perm[s] < perm[t]
+            for t in range(len(blocks)):
+                assert blocks[perm[t]] == blocks[t]
+                assert canon[perm[t]] == md[t]
+            for mon in graded_basis(v, multidegree=canon):
+                f = Polynomial.from_monomial(v, mon)
+                assert _permute_poly(f, perm).multidegree() == md
+
+
+def test_orbit_pieces_get_equal_counts():
+    # 2V_3 at p = 3: each piece computed directly has as many generators as
+    # its canonical piece and as were transported into it
+    eng = GradedEngine(module_spec(3, [3, 3]))
+    eng.ensure_covariant(2)
+    n2 = eng._cov[2]
+    for obj, piece in (
+        (eng._alg, eng._algebra_piece),
+        (eng._coinv, eng._coinv_piece),
+        (n2, lambda md, d: eng._covariant_piece(md, d, 2, n2.gens)),
+    ):
+        for d in range(1, obj.done + 1):
+            for md in _compositions(d, 2):
+                direct = len(piece(md, d))
+                assert direct == len(piece(eng._canonical_md(md)[0], d))
+                assert direct == sum(g.multidegree == md for g in obj.gens)
+        assert all(g.poly.multidegree() == g.multidegree for g in obj.gens)
