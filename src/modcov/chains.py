@@ -24,7 +24,7 @@ import numpy as np
 
 from .fastlinalg import Echelon, _dtype, asmod, matmul_mod, rref_mod
 from .modules import ModuleSpec
-from .poly import Polynomial, delta
+from .poly import Polynomial, _compositions, delta
 
 
 # -- nilpotent chain decomposition (dense, small) ----------------------
@@ -69,41 +69,23 @@ def nilpotent_chains(n_mat, p):
         kernels.append(_kernel_mod(powers[k], p))
     chains = []
     for k in range(top_len, 0, -1):
+        # span of the kernel below level k and the level-k vectors of the
+        # longer chains already chosen
         ech = Echelon(p, dim)
-        ech.add_rows(kernels[k - 1])
-        # level-k vectors of the longer chains already chosen
-        for ch in chains:
-            ech.add_rows(ch[k - 1 : k])
+        ech.add_rows(np.concatenate([kernels[k - 1]] + [ch[k - 1 : k] for ch in chains]))
         cands = kernels[k]
-        new = ech.add_rows(cands, origins=list(range(cands.shape[0])))
-        for idx in new:
-            top = cands[idx].astype(np.int64)
-            ch = [top]
-            for _ in range(k - 1):
-                ch.append(matmul_mod(ch[-1][None, :], n_mat.T, p)[0].astype(np.int64))
-            ch.reverse()
-            chains.append(np.array(ch, dtype=np.int64))
+        new = ech.add_rows(cands)
+        if not new:
+            continue
+        levels = [cands[new].astype(np.int64)]
+        for _ in range(k - 1):
+            levels.append(matmul_mod(levels[-1], n_mat.T, p).astype(np.int64))
+        chains.extend(np.stack(levels[::-1], axis=1))
     assert sum(c.shape[0] for c in chains) == dim
     return chains
 
 
 # -- single-block symmetric powers --------------------------------------
-
-
-def _compositions_matrix(total, parts):
-    rows = []
-
-    def rec(prefix, rem, k):
-        if k == 1:
-            rows.append(prefix + [rem])
-            return
-        for v in range(rem + 1):
-            rec(prefix + [v], rem - v, k - 1)
-
-    if parts == 0:
-        return np.zeros((1 if total == 0 else 0, 0), dtype=np.int64)
-    rec([], total, parts)
-    return np.array(rows, dtype=np.int64)
 
 
 class BlockPiece:
@@ -112,7 +94,7 @@ class BlockPiece:
     def __init__(self, n_vars: int, degree: int):
         self.n_vars = n_vars
         self.degree = degree
-        exps = _compositions_matrix(degree, n_vars)
+        exps = np.array(list(_compositions(degree, n_vars)), dtype=np.int64)
         base = degree + 1
         if n_vars and float(base) ** n_vars >= 2**62:
             raise OverflowError("piece too large to index")
@@ -277,18 +259,17 @@ def _fold_tensor(left_chains, right_chains, p):
     """Chains of (span of left_chains) (x) (span of right_chains)."""
     out = []
     for lc in left_chains:
-        a, c1 = lc.shape
+        a = lc.shape[0]
+        lf = lc.astype(np.float64).T  # (c1, a)
         for rc in right_chains:
-            b, c2 = rc.shape
+            b = rc.shape[0]
+            rf = rc.astype(np.float64)  # (b, c2)
             for tmpl in _tensor_templates(p, a, b):
-                vecs = []
-                for tv in tmpl:
-                    coef = tv.reshape(a, b).astype(np.float64)
-                    # sum_{s,t} coef[s,t] * (lc[s] (x) rc[t]) as a flat vector
-                    mid = coef @ rc.astype(np.float64)  # (a, c2)
-                    big = lc.astype(np.float64).T @ mid  # (c1, c2)
-                    vecs.append(np.mod(big, p).reshape(-1))
-                out.append(np.asarray(vecs).astype(_dtype(p)))
+                # sum_{s,t} tv[s*b+t] * (lc[s] (x) rc[t]) for every template
+                # vector tv at once; reducing mid keeps each product exact
+                mid = np.mod(tmpl.reshape(-1, a, b).astype(np.float64) @ rf, p)
+                big = np.mod(lf @ mid, p)  # (levels, c1, c2)
+                out.append(big.reshape(tmpl.shape[0], -1).astype(_dtype(p)))
     return out
 
 

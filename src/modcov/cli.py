@@ -183,6 +183,8 @@ def _max_piece_dim(p, v_blocks):
 
 def cmd_sweep(args) -> int:
     p_list = _ints(args.p)
+    for p in p_list:  # refuse a bad prime before any case runs
+        _vspec(p, [])
     w_sizes = _ints(args.w)
     cases = []
     for p in p_list:

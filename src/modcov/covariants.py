@@ -21,7 +21,6 @@ from .poly import (
     graded_basis,
     invariant_basis,
     norm,
-    transfer,
     weight,
 )
 
@@ -251,11 +250,13 @@ def decompose_by_norm(h: Covariant, j: int):
     """Split h = N_j * h1 + h2 with h2 a transfer covariant, returning (h1, h2, u).
 
     Requires h homogeneous of multidegree (d_1..d_m) with d_j > p - n_j.
-    Works down the support levels: the top component of the running
-    remainder is invariant; divide it by N_j, solve the two preimage
-    problems, and subtract.  The transfer witness u accumulates as
-    u <- u + Delta^(k_top - k)(t) across levels, so that h2's components
-    are exactly the Delta-chain of u ending at Delta^(p-1)(u).
+    h1 and h2 are the componentwise quotient and remainder of dividing h by
+    N_j.  sigma never raises the x_{1,j}-degree of a term and N_j is
+    invariant, so f -> (quotient, remainder) commutes with sigma: dividing
+    the weight polynomial f_1 = q * N_j + r gives one covariant from q and
+    one from r.  Under the hypothesis the remainders of this multidegree
+    form a free kG-module, so r = Delta^(p-s)(u) with s = weight(r), and h2
+    is the Delta-chain of u ending at Delta^(p-1)(u).
     """
     vspec, wspec = h.vspec, h.wspec
     p = vspec.p
@@ -268,41 +269,16 @@ def decompose_by_norm(h: Covariant, j: int):
         raise ValueError(
             f"multidegree {md} violates the hypothesis d_{j} > p - n_{j} = {p - nj}"
         )
-    njpoly = norm(vspec, j)
-    h_cur = h
-    h1 = zero_covariant(vspec, wspec)
-    u = None
-    k_top = None
-    while not h_cur.is_zero():
-        k = h_cur.support()
-        f1 = to_weight_poly(h_cur)
-        top = delta_power(f1, k - 1)  # the support-level component, invariant
-        q, r = divide_by_norm(top, j)
-        t = delta_power_preimage(r, p - 1)
-        if t is None:
-            raise NormDecompositionError(
-                "remainder is not a transfer; the freeness guarantee for the "
-                f"degree-{md[j - 1]} component failed (violated precondition or bug)"
-            )
-        fprime = delta_power_preimage(q, k - 1) if not q.is_zero() else q
-        if fprime is None:
-            raise NormDecompositionError(
-                f"quotient is not in the image of Delta^{k - 1}; norm "
-                "multiplication should preserve isomorphism type"
-            )
-        h1_lvl = from_weight_poly(fprime, wspec)
-        h2_lvl = make_transfer_covariant(t, wspec, k)
-        if u is None:
-            u, k_top = t, k
-        else:
-            u = u + delta_power(t, k_top - k)
-        h1 = h1 + h1_lvl
-        nxt = h_cur - h1_lvl.scale_by_invariant(njpoly) - h2_lvl
-        if not nxt.is_zero() and nxt.support() >= k:
-            raise NormDecompositionError("support failed to decrease")
-        h_cur = nxt
-    h2 = make_transfer_covariant(u, wspec, k_top)
-    if h != h1.scale_by_invariant(njpoly) + h2:
+    q, r = divide_by_norm(to_weight_poly(h), j)
+    h1 = from_weight_poly(q, wspec)
+    h2 = from_weight_poly(r, wspec)
+    u = Polynomial.zero(vspec) if r.is_zero() else transfer_witness(h2)
+    if u is None:
+        raise NormDecompositionError(
+            "remainder is not a transfer; the freeness guarantee for the "
+            f"degree-{md[j - 1]} component failed (violated precondition or bug)"
+        )
+    if h != h1.scale_by_invariant(norm(vspec, j)) + h2:
         raise NormDecompositionError("reconstruction check failed")
     return h1, h2, u
 

@@ -1,9 +1,10 @@
 """numpy-backed exact linear algebra mod p for large graded pieces.
 
-All arithmetic is exact: products are taken in float64 (entries < p, so a
-dot product over k terms is bounded by k*(p-1)^2 << 2^53) and reduced mod
-p afterwards.  Heavy work is routed through BLAS matmuls; the per-row
-fallback only ever touches small blocks.
+All arithmetic is exact: products are taken in float64 and reduced mod p
+afterwards.  Entries are < p, so a dot product over k terms is bounded by
+k*(p-1)^2, which ``matmul_mod`` checks against 2^53.  Heavy work is
+routed through BLAS matmuls; the per-row fallback only ever touches small
+blocks.
 
 Cross-checked against the pure-Python ``field`` module in the test suite.
 """
@@ -29,6 +30,8 @@ def matmul_mod(a, b, p: int):
     m, k = a.shape
     k2, n = b.shape
     assert k == k2
+    if k * (p - 1) ** 2 >= 2**53:
+        raise OverflowError(f"k*(p-1)^2 >= 2^53 for k = {k}, p = {p}: float64 is inexact")
     if k == 0 or m == 0:
         return np.zeros((m, n), dtype=_dtype(p))
     bf = b.astype(np.float64)
@@ -129,15 +132,14 @@ class Echelon:
         m = asmod(m, self.p)
         return _reduce_against(m, self.rows, self.pivcols, self.p)
 
-    def add_rows(self, m, origins=None):
-        """Insert rows; returns the origins that increased the rank, in order."""
+    def add_rows(self, m):
+        """Insert rows; returns the indices of the rows of m that increased
+        the rank, in order."""
         m = asmod(np.atleast_2d(m), self.p)
         if m.shape[0] == 0:
             return []
-        if origins is None:
-            origins = list(range(m.shape[0]))
         red = self.reduce(m)
-        new_rows, new_pivs, new_origs = rref_mod(red, self.p, origins)
+        new_rows, new_pivs, new_origs = rref_mod(red, self.p)
         if new_rows.shape[0] == 0:
             return []
         self.rows = _reduce_against(self.rows, new_rows, new_pivs, self.p)

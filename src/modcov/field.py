@@ -38,9 +38,6 @@ class PrimeField:
         if self.p >= 1 << 15:
             raise ValueError(f"p={self.p} too large (need p < 2^15)")
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:

@@ -231,7 +231,7 @@ class GradedEngine:
         if inv.shape[0] == 0:
             return []
         ech = self._span_echelon(md, d, self._alg.gens)
-        new = ech.add_rows(inv, origins=list(range(inv.shape[0])))
+        new = ech.add_rows(inv)
         index = self._chains(md).index
         return [index.vector_to_poly(inv[i]) for i in new]
 
@@ -298,7 +298,7 @@ class GradedEngine:
             new_polys = self._monomials(pc.index, pivots)
         else:
             cand = pc.weight_le_matrix(n)
-            new = ech.add_rows(cand, origins=list(range(cand.shape[0])))
+            new = ech.add_rows(cand)
             new_polys = [pc.index.vector_to_poly(cand[i]) for i in new]
         assert len(new_polys) == dim_m - rank
         return new_polys

@@ -14,6 +14,7 @@ from modcov.chains import (
     nilpotent_chains,
 )
 from modcov.fastlinalg import matmul_mod
+from modcov.field import FpMatrix, PrimeField, rref
 from modcov.modules import module_spec
 from modcov.poly import (
     Polynomial,
@@ -35,22 +36,64 @@ SPECS = [
 ]
 
 
+def _unipotent_inverse(u, p):
+    """Inverse of a unipotent matrix: sum_i (I - u)^i, a finite series."""
+    nil = (np.eye(u.shape[0], dtype=np.int64) - u) % p
+    out, term = np.eye(u.shape[0], dtype=np.int64), np.eye(u.shape[0], dtype=np.int64)
+    for _ in range(u.shape[0]):
+        term = (term @ nil) % p
+        out = (out + term) % p
+    return out
+
+
+def _jordan_in_random_basis(rng, sizes, p):
+    """Nilpotent matrix with Jordan blocks of the given sizes, conjugated by
+    P = L U with L, U random unipotent (lower, upper) triangular."""
+    n = sum(sizes)
+    jordan = np.zeros((n, n), dtype=np.int64)
+    off = 0
+    for s in sizes:
+        for i in range(s - 1):
+            jordan[off + i, off + i + 1] = 1
+        off += s
+    rand = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+    upper = np.triu(rand, 1) + np.eye(n, dtype=np.int64)
+    lower = upper.T.copy()
+    conj = (lower @ upper) % p
+    conj_inv = (_unipotent_inverse(upper, p) @ _unipotent_inverse(lower, p)) % p
+    assert ((conj @ conj_inv) % p == np.eye(n, dtype=np.int64)).all()
+    return (conj @ jordan @ conj_inv) % p
+
+
 def test_nilpotent_chains_structure():
     rng = random.Random(60)
     p = 5
+    # random nilpotent: strictly upper triangular (mostly one long chain)
+    cases = []
     for _ in range(10):
-        # random nilpotent: strictly upper triangular
         n = rng.randrange(1, 7)
         m = np.triu(
             np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)]), 1
         )
+        cases.append((m, None))
+    # several chain lengths, some repeated, in a random basis
+    for sizes in [(3, 2, 2, 1), (4, 1, 1), (2, 2, 2), (5, 3, 3, 1, 1), (6, 2)]:
+        cases.append((_jordan_in_random_basis(rng, sizes, p), sorted(sizes)))
+    for m, sizes in cases:
+        n = m.shape[0]
         chains = nilpotent_chains(m, p)
         assert sum(c.shape[0] for c in chains) == n
+        if sizes is not None:
+            assert sorted(c.shape[0] for c in chains) == sizes
         for ch in chains:
             # bottom maps to zero, each level maps down one
             assert not matmul_mod(ch[0:1], m.T, p).any()
             for k in range(1, ch.shape[0]):
                 assert (matmul_mod(ch[k : k + 1], m.T, p) == ch[k - 1 : k]).all()
+        # the chain vectors together are a basis
+        stacked = [[int(x) for x in row] for ch in chains for row in ch]
+        _, _, rank = rref(FpMatrix.from_rows(PrimeField(p), stacked))
+        assert rank == n
 
 
 def test_nilpotent_chains_rejects_non_nilpotent():

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import modcov
+from modcov import cli
 from modcov.cli import main
 from modcov.modules import module_spec
 from modcov.parsing import parse_polynomial
@@ -123,6 +124,27 @@ def test_sweep_piece_dim_budget_skips(tmp_path, capsys):
     capsys.readouterr()
     cases = json.loads(out.read_text())["cases"]
     assert cases and all(e["status"] == "skipped: budget" for e in cases)
+
+
+def test_sweep_checks_every_prime_before_any_case(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cli._case_result
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_case_result", spy)
+    out = tmp_path / "r.json"
+    assert main(
+        [
+            "sweep", "--p", "3,4", "--max-blocks", "1", "--max-block-size", "3",
+            "--w", "1,2", "--out", str(out),
+        ]
+    ) == 2
+    assert "not prime" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_decompose_round_trip(tmp_path, capsys):

@@ -19,10 +19,13 @@ from modcov.poly import (
     Polynomial,
     delta,
     delta_power,
+    divide_by_norm,
+    graded_basis,
     invariant_basis,
     is_invariant,
     norm,
     transfer,
+    var_index,
     weight,
 )
 
@@ -170,6 +173,27 @@ def test_decompose_by_norm_multiple_of_norm():
     h = from_weight_poly(f, W2)
     h1, h2, u = decompose_by_norm(h, 1)
     assert h1.scale_by_invariant(norm(V3, 1)) + h2 == h
+
+
+@pytest.mark.parametrize(
+    "p, blocks, md, n", [(3, (3,), (4,), 3), (5, (3, 2), (4, 3), 3), (5, (4,), (6,), 3)]
+)
+def test_decompose_by_norm_is_division_by_norm(p, blocks, md, n):
+    v, w = module_spec(p, blocks), module_spec(p, [n])
+    rng = random.Random(56)
+    mons = graded_basis(v, multidegree=md)
+    x11 = var_index(v, 1, 1)
+    done = 0
+    while done < 2:
+        f = delta_power(Polynomial(v, {m: rng.randrange(p) for m in mons}), p - n)
+        if f.is_zero():
+            continue
+        h = from_weight_poly(f, w)
+        h1, h2, _ = decompose_by_norm(h, 1)
+        for c, c1, c2 in zip(h.components, h1.components, h2.components):
+            assert divide_by_norm(c, 1) == (c1, c2)
+            assert all(m[x11] < p for m in c2.terms)
+        done += 1
 
 
 def test_decompose_by_norm_hypothesis_violation():

@@ -4,6 +4,7 @@ oracle in ``field``."""
 import random
 
 import numpy as np
+import pytest
 
 from modcov import field
 from modcov.fastlinalg import Echelon, asmod, matmul_mod, rref_mod
@@ -32,6 +33,13 @@ def test_matmul_mod_matches_oracle():
             assert [[int(x) for x in row] for row in fast] == [
                 slow.row(r) for r in range(slow.rows)
             ]
+
+
+def test_matmul_mod_refuses_inexact_products():
+    p = 2**26 + 1  # a dot product of k = 2 terms reaches 2 * (p-1)^2 = 2^53
+    a = np.ones((1, 2), dtype=np.int64)
+    with pytest.raises(OverflowError):
+        matmul_mod(a, a.T, p)
 
 
 def test_rref_mod_matches_oracle():
