@@ -3,8 +3,8 @@
 A nonzero covariant h = f_1 w_1 + ... + f_n w_n is determined by its first
 component: f_j = Delta^(j-1)(f_1) and Delta^n(f_1) = 0, so f_1 is a
 polynomial of weight at most n and every such polynomial yields a
-covariant.  The weight polynomial f_1 is the single source of truth here;
-construction re-validates the chain.
+covariant.  A ``Covariant`` therefore stores f_1 only and derives the
+other components from it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .poly import (
     Polynomial,
     apply_sigma,
     coefficient_vector,
+    delta,
     delta_power,
     delta_power_preimage,
     divide_by_norm,
@@ -34,109 +35,92 @@ class NormDecompositionError(RuntimeError):
 
 
 class Covariant:
-    """An n-tuple of polynomial components against the W-basis w_1..w_n."""
+    """f_1 w_1 + ... + f_n w_n against the W-basis w_1..w_n, stored as f_1."""
 
-    __slots__ = ("vspec", "wspec", "components")
+    __slots__ = ("vspec", "wspec", "f1")
 
-    def __init__(self, vspec: ModuleSpec, wspec: ModuleSpec, components, validate=True):
+    def __init__(self, vspec: ModuleSpec, wspec: ModuleSpec, components):
+        """Validating constructor; missing trailing components are zero."""
+        comps = list(components)
+        self._init(vspec, wspec, comps[0] if comps else Polynomial.zero(vspec))
+        if len(comps) > self.n:
+            raise ValueError("more components than dim W")
+        for j, g in enumerate(self.components[1:], start=1):
+            if g != (comps[j] if j < len(comps) else Polynomial.zero(vspec)):
+                raise ChainError(f"component {j + 1} is not Delta^{j} of component 1")
+        self.validate_chain()
+
+    def _init(self, vspec, wspec, f1):
         if wspec.num_blocks != 1:
             raise ValueError("W must be a single block at this layer")
-        n = wspec.blocks[0]
-        comps = list(components)
-        if len(comps) > n:
-            raise ValueError("more components than dim W")
-        while len(comps) < n:
-            comps.append(Polynomial.zero(vspec))
-        self.vspec = vspec
-        self.wspec = wspec
-        self.components = tuple(comps)
-        if validate:
-            self.validate_chain()
+        self.vspec, self.wspec, self.f1 = vspec, wspec, f1
 
     @property
     def n(self) -> int:
         return self.wspec.blocks[0]
 
+    @property
+    def components(self) -> tuple:
+        """(f_1, Delta f_1, ..., Delta^(n-1) f_1)."""
+        comps = [self.f1]
+        for _ in range(self.n - 1):
+            comps.append(delta(comps[-1]))
+        return tuple(comps)
+
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return self.f1.is_zero()
 
     def support(self) -> int:
-        """Largest j with f_j != 0; 0 for the zero covariant."""
-        s = 0
-        for j, c in enumerate(self.components, start=1):
-            if not c.is_zero():
-                s = j
-        return s
+        """Largest j with f_j != 0, i.e. weight(f_1); 0 for the zero covariant."""
+        return 0 if self.is_zero() else weight(self.f1)
 
     def validate_chain(self):
-        f = self.components[0]
-        g = f
-        for j in range(1, self.n):
-            g = delta_power(g, 1)
-            if g != self.components[j]:
-                raise ChainError(f"component {j + 1} is not Delta^{j} of component 1")
-        if not delta_power(g, 1).is_zero():
+        if not delta_power(self.f1, self.n).is_zero():
             raise ChainError(f"Delta^{self.n} of component 1 is nonzero")
 
     def is_equivariant(self) -> bool:
         """Direct check of invariance under the diagonal action.
 
         Collects w-coordinates of sigma(h) = sum_i sigma(f_i) sigma(w_i) and
-        compares with h.  Independent of the chain property.
+        compares with h.  Independent of ``validate_chain``.
         """
-        p = self.vspec.p
-        sig = [apply_sigma(c) for c in self.components]
+        comps = self.components
+        sig = [apply_sigma(c) for c in comps]
         for j in range(1, self.n + 1):
             acc = Polynomial.zero(self.vspec)
             for i in range(j, self.n + 1):
                 coef = sigma_on_w(self.wspec, i)[j - 1]
                 if coef:
                     acc = acc + sig[i - 1].scale(coef)
-            if acc != self.components[j - 1]:
+            if acc != comps[j - 1]:
                 return False
         return True
 
     def multidegree(self):
-        """Multidegree of the first component (all components share it)."""
-        if self.is_zero():
-            return None
-        return self.components[0].multidegree()
+        """Multidegree of f_1 (all components share it)."""
+        return None if self.is_zero() else self.f1.multidegree()
 
     def total_degree(self):
-        if self.is_zero():
-            return None
-        return self.components[0].total_degree()
+        return None if self.is_zero() else self.f1.total_degree()
 
     def __add__(self, other):
         self._check(other)
-        return Covariant(
-            self.vspec,
-            self.wspec,
-            [a + b for a, b in zip(self.components, other.components)],
-            validate=False,
-        )
+        return _covariant(self.f1 + other.f1, self.wspec)
 
     def __sub__(self, other):
         self._check(other)
-        return Covariant(
-            self.vspec,
-            self.wspec,
-            [a - b for a, b in zip(self.components, other.components)],
-            validate=False,
-        )
+        return _covariant(self.f1 - other.f1, self.wspec)
 
     def scale_by_invariant(self, q: Polynomial) -> "Covariant":
-        """q * h for an invariant q; the chain property is preserved."""
-        return Covariant(
-            self.vspec, self.wspec, [q * c for c in self.components], validate=False
-        )
+        """q * h for an invariant q (Delta is linear over invariants)."""
+        return _covariant(q * self.f1, self.wspec)
 
     def __eq__(self, other):
         return (
             isinstance(other, Covariant)
             and self.vspec == other.vspec
             and self.wspec == other.wspec
-            and self.components == other.components
+            and self.f1 == other.f1
         )
 
     def _check(self, other):
@@ -149,31 +133,30 @@ class Covariant:
         return "Covariant[" + "; ".join(format_polynomial(c) for c in self.components) + "]"
 
 
+def _covariant(f1: Polynomial, wspec: ModuleSpec) -> Covariant:
+    """The covariant with weight polynomial f1; the caller ensures weight(f1) <= n."""
+    h = Covariant.__new__(Covariant)
+    h._init(f1.vspec, wspec, f1)
+    return h
+
+
 def zero_covariant(vspec: ModuleSpec, wspec: ModuleSpec) -> Covariant:
-    return Covariant(vspec, wspec, [], validate=False)
+    return _covariant(Polynomial.zero(vspec), wspec)
 
 
 def from_weight_poly(f: Polynomial, wspec: ModuleSpec) -> Covariant:
-    """The covariant (f, Delta f, ..., Delta^(d-1) f, 0, ..., 0), d = weight(f)."""
+    """The covariant (f, Delta f, ..., Delta^(n-1) f); requires weight(f) <= n."""
     n = wspec.blocks[0]
-    if f.is_zero():
-        return zero_covariant(f.vspec, wspec)
-    if weight(f) > n:
+    if not f.is_zero() and weight(f) > n:
         raise ValueError(f"weight {weight(f)} exceeds dim W = {n}")
-    comps = []
-    g = f
-    for _ in range(n):
-        comps.append(g)
-        g = delta_power(g, 1)
-    return Covariant(f.vspec, wspec, comps, validate=False)
+    return _covariant(f, wspec)
 
 
 def to_weight_poly(h: Covariant) -> Polynomial:
-    """The weight polynomial f_1 of a nonzero covariant; re-validates the chain."""
+    """The weight polynomial f_1 of a nonzero covariant."""
     if h.is_zero():
         raise ValueError("the zero covariant has no weight polynomial")
-    h.validate_chain()
-    return h.components[0]
+    return h.f1
 
 
 def covariant_basis(vspec: ModuleSpec, wspec: ModuleSpec, d: int) -> list:
@@ -212,19 +195,13 @@ def covariant_basis(vspec: ModuleSpec, wspec: ModuleSpec, d: int) -> list:
 
 def make_transfer_covariant(f: Polynomial, wspec: ModuleSpec, s: int) -> Covariant:
     """Components (Delta^(p-s) f, ..., Delta^(p-1) f, 0, ..., 0)."""
-    vspec = f.vspec
-    p = vspec.p
+    p = f.vspec.p
     n = wspec.blocks[0]
     if not 1 <= s <= n:
         raise ValueError(f"support size {s} out of range 1..{n}")
     if s > p:
         raise ValueError(f"support size {s} exceeds p = {p}")
-    comps = []
-    g = delta_power(f, p - s)
-    for _ in range(s):
-        comps.append(g)
-        g = delta_power(g, 1)
-    return Covariant(vspec, wspec, comps, validate=False)
+    return _covariant(delta_power(f, p - s), wspec)
 
 
 def transfer_witness(h: Covariant):
@@ -238,7 +215,7 @@ def transfer_witness(h: Covariant):
     s = h.support()
     p = h.vspec.p
     out = Polynomial.zero(h.vspec)
-    for comp in h.components[0].homogeneous_components().values():
+    for comp in h.f1.homogeneous_components().values():
         pre = delta_power_preimage(comp, p - s)
         if pre is None:
             return None
@@ -249,7 +226,8 @@ def transfer_witness(h: Covariant):
 def decompose_by_norm(h: Covariant, j: int):
     """Split h = N_j * h1 + h2 with h2 a transfer covariant, returning (h1, h2, u).
 
-    Requires h homogeneous of multidegree (d_1..d_m) with d_j > p - n_j.
+    Requires 1 <= j <= m and h multihomogeneous of multidegree (d_1..d_m)
+    with d_j > p - n_j; raises ValueError otherwise.
     h1 and h2 are the componentwise quotient and remainder of dividing h by
     N_j.  sigma never raises the x_{1,j}-degree of a term and N_j is
     invariant, so f -> (quotient, remainder) commutes with sigma: dividing
@@ -260,6 +238,8 @@ def decompose_by_norm(h: Covariant, j: int):
     """
     vspec, wspec = h.vspec, h.wspec
     p = vspec.p
+    if not 1 <= j <= vspec.num_blocks:
+        raise ValueError(f"block index {j} out of range 1..{vspec.num_blocks}")
     if h.is_zero():
         z = zero_covariant(vspec, wspec)
         return z, z, Polynomial.zero(vspec)
@@ -269,7 +249,7 @@ def decompose_by_norm(h: Covariant, j: int):
         raise ValueError(
             f"multidegree {md} violates the hypothesis d_{j} > p - n_{j} = {p - nj}"
         )
-    q, r = divide_by_norm(to_weight_poly(h), j)
+    q, r = divide_by_norm(h.f1, j)
     h1 = from_weight_poly(q, wspec)
     h2 = from_weight_poly(r, wspec)
     u = Polynomial.zero(vspec) if r.is_zero() else transfer_witness(h2)

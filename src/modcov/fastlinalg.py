@@ -53,7 +53,7 @@ def _reduce_against(m, rows, pivcols, p):
     return asmod(m.astype(np.int64) - matmul_mod(coef, rows, p).astype(np.int64), p)
 
 
-def _rref_base(m, origins, p):
+def _rref_base(m, p):
     """Incremental rref of a small block; rows earlier in order win pivots."""
     m = m.astype(np.int64)
     rows = []  # list of 1-d arrays, unit pivot, mutually reduced
@@ -76,7 +76,7 @@ def _rref_base(m, origins, p):
                 rows[idx] = (rows[idx] - f * v) % p
         rows.append(v)
         pivs.append(int(c))
-        keep_orig.append(origins[i])
+        keep_orig.append(i)
     if rows:
         order = np.argsort(pivs)
         rr = np.array([rows[i] for i in order], dtype=np.int64)
@@ -89,7 +89,7 @@ def _rref_base(m, origins, p):
     return asmod(rr, p), pv, og
 
 
-def rref_mod(m, p: int, origins=None):
+def rref_mod(m, p: int):
     """Reduced row echelon form of an integer matrix mod p.
 
     Returns (rows, pivcols, pivot_origins): ``rows`` is the rref with unit
@@ -98,18 +98,16 @@ def rref_mod(m, p: int, origins=None):
     selected iff it is independent of all earlier input rows).
     """
     m = asmod(m, p)
-    if origins is None:
-        origins = list(range(m.shape[0]))
     if m.shape[0] <= _BASE_ROWS:
-        return _rref_base(m, origins, p)
+        return _rref_base(m, p)
     half = m.shape[0] // 2
-    r1, p1, o1 = rref_mod(m[:half], p, origins[:half])
+    r1, p1, o1 = rref_mod(m[:half], p)
     bottom = _reduce_against(m[half:], r1, p1, p)
-    r2, p2, o2 = rref_mod(bottom, p, origins[half:])
+    r2, p2, o2 = rref_mod(bottom, p)
     r1 = _reduce_against(r1, r2, p2, p)
     rows = np.concatenate([r1, r2], axis=0)
     pivs = np.concatenate([p1, p2])
-    origs = o1 + o2
+    origs = o1 + [half + i for i in o2]
     order = np.argsort(pivs)
     return rows[order], pivs[order], [origs[i] for i in order]
 

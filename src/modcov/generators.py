@@ -510,7 +510,7 @@ def is_decomposable_covariant(h) -> bool:
     """Is h in the submodule generated by covariants of smaller degree?"""
     if h.is_zero():
         return True
-    f1 = h.components[0]
+    f1 = h.f1
     if not f1.is_homogeneous():
         raise ValueError("input must be homogeneous")
     d = f1.total_degree()

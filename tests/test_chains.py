@@ -10,6 +10,7 @@ import pytest
 from modcov.chains import (
     PieceChains,
     PieceIndex,
+    _tensor_templates,
     multiplication_map,
     nilpotent_chains,
 )
@@ -99,6 +100,23 @@ def test_nilpotent_chains_structure():
 def test_nilpotent_chains_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         nilpotent_chains(np.eye(3, dtype=np.int64), 3)
+
+
+def _green_ring(p, a, b):
+    """Jordan type of V_a (x) V_b over Z/p (Renaud 1979), as sorted block sizes."""
+    a, b = min(a, b), max(a, b)
+    if a + b <= p:
+        return sorted(b - a + 2 * i - 1 for i in range(1, a + 1))
+    return sorted([p] * (a + b - p) + [b - a + 2 * i - 1 for i in range(1, p - b + 1)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tensor_templates_match_green_ring(p):
+    # an independent source for the elimination: no rank is computed here
+    for a in range(1, p + 1):
+        for b in range(1, p + 1):
+            lengths = sorted(ch.shape[0] for ch in _tensor_templates(p, a, b))
+            assert lengths == _green_ring(p, a, b), (a, b)
 
 
 def test_piece_index_round_trip():

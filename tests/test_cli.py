@@ -7,9 +7,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import modcov
-from modcov import cli
+from modcov import cli, covariants
 from modcov.cli import main
 from modcov.modules import module_spec
 from modcov.parsing import parse_polynomial
@@ -177,6 +179,59 @@ def test_decompose_rejects_non_covariant(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_decompose_non_multihomogeneous_exits_2(tmp_path, capsys):
+    f = tmp_path / "h.txt"
+    f.write_text("x[2,1] + 1\n")
+    assert main(
+        ["decompose", "--p", "3", "--v", "2", "--w", "1", "--j", "1", str(f)]
+    ) == 2
+    assert "multihomogeneous" in capsys.readouterr().err
+
+
+def test_decompose_reports_failed_split(tmp_path, capsys, monkeypatch):
+    def failing(h, j):
+        raise covariants.NormDecompositionError("reconstruction check failed")
+
+    monkeypatch.setattr(covariants, "decompose_by_norm", failing)
+    f = tmp_path / "h.txt"
+    f.write_text("x[1,1]*x[2,1]\nx[2,1]^2\n")
+    assert main(
+        ["decompose", "--p", "3", "--v", "2", "--w", "2", "--j", "1", str(f)]
+    ) == 1
+    assert "reconstruction h = N_j*h1 + h2: FAILED" in capsys.readouterr().out
+
+
+# no part starts with a digit, so no exponent exceeds 3
+_EXPR_PARTS = ["x[1,1]", "x[2,1]", "x[1,2]", "x[3,1]", "x[1,", "*2", "^3", "^",
+               "+", "-", "*", "(", ")", "]", ",", " "]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    v=st.sampled_from(["2", "3,2", "1"]),
+    op=st.one_of(
+        st.sampled_from(["sigma", "delta", "transfer", "weight"]),
+        st.integers(0, 6).map(lambda k: f"delta^{k}"),
+        st.integers(0, 3).map(lambda j: f"norm {j}"),
+    ),
+    expr=st.one_of(
+        st.just(""),
+        st.just("0"),
+        st.lists(
+            st.tuples(st.sampled_from(["x[1,1]", "x[2,1]", "x[1,2]"]), st.integers(0, 3)),
+            max_size=3,
+        ).map(lambda ts: " + ".join(f"{x}^{e}" for x, e in ts)),
+        st.lists(st.sampled_from(_EXPR_PARTS), max_size=8).map("".join),
+    ),
+)
+def test_act_exit_codes(p, v, op, expr, capsys):
+    # valid, empty, zero and malformed input: 0 or 2, never a traceback
+    assert main(["act", "--p", str(p), "--v", v, "--op", op, "--", expr]) in (0, 2)
+    capsys.readouterr()
+
+
 _SWEEP = ["sweep", "--max-blocks", "1", "--max-block-size", "2"]
 
 
@@ -188,6 +243,7 @@ _SWEEP = ["sweep", "--max-blocks", "1", "--max-block-size", "2"]
         _SWEEP + ["--p", "2", "--w", "x"],
         _SWEEP + ["--p", "2", "--w", "1", "--cap", "-1"],
         ["beta", "--p", "3", "--v", "2", "--w", "2", "--cap", "-1"],
+        ["act", "--p", "3", "--v", "2", "--op", "weight", ""],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):

@@ -58,6 +58,18 @@ def test_chain_validation():
         Covariant(V3, W3, [x1, x1, x1])
 
 
+def test_constructor_zero_pads_and_names_the_broken_link():
+    x1 = Polynomial.variable(V3, 1, 1)  # weight 3
+    q = norm(V3, 1)
+    assert Covariant(V3, W2, [q]) == from_weight_poly(q, W2)
+    with pytest.raises(ChainError, match=r"component 2 is not Delta\^1"):
+        Covariant(V3, W3, [x1])
+    with pytest.raises(ChainError, match=r"Delta\^2 of component 1 is nonzero"):
+        Covariant(V3, W2, [x1, delta(x1)])
+    with pytest.raises(ValueError, match="more components"):
+        Covariant(V3, W2, [q, q - q, q - q])
+
+
 def test_weight_poly_round_trips():
     rng = random.Random(50)
     for _ in range(30):
@@ -201,6 +213,13 @@ def test_decompose_by_norm_hypothesis_violation():
     h = from_weight_poly(f, W2)
     with pytest.raises(ValueError):
         decompose_by_norm(h, 1)
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_decompose_by_norm_rejects_block_index(j):
+    h = from_weight_poly(norm(V2, 1), W2)  # multidegree (3) > p - n = 1
+    with pytest.raises(ValueError, match="block index"):
+        decompose_by_norm(h, j)
 
 
 def test_decompose_transfer_covariant_simple():
