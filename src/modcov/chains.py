@@ -5,8 +5,9 @@ piece of k[V] is the tensor product of symmetric powers of the duals of
 the individual Jordan blocks.  Chains are therefore built structurally:
 
   * a symmetric power of a single block is small (its dimension is a
-    binomial coefficient in the block size), so its chains come from a
-    direct nilpotent-chain computation on the Delta matrix;
+    binomial coefficient in the block size); its Delta matrix is built
+    from the one a degree lower, and its chains come from a direct
+    nilpotent-chain computation on that matrix;
   * the chain type of a tensor product of two chains of lengths a and b
     depends only on (p, a, b), so a chain basis of V_a (x) V_b is computed
     once per shape and instantiated for every pair of chains.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .fastlinalg import Echelon, _dtype, asmod, matmul_mod, rref_mod
 from .modules import ModuleSpec
-from .poly import Polynomial, _compositions, delta
+from .poly import Polynomial, _compositions
 
 
 # -- nilpotent chain decomposition (dense, small) ----------------------
@@ -33,14 +34,11 @@ from .poly import Polynomial, _compositions, delta
 def _kernel_mod(m, p):
     """Basis (rows) of the right null space of m over F_p."""
     rows, pivs, _ = rref_mod(m, p)
-    n = m.shape[1]
-    pivset = set(int(c) for c in pivs)
-    free = [c for c in range(n) if c not in pivset]
-    out = np.zeros((len(free), n), dtype=np.int64)
-    for i, fc in enumerate(free):
-        out[i, fc] = 1
-        for r, pc in enumerate(pivs):
-            out[i, pc] = (-int(rows[r, fc])) % p
+    free = np.ones(m.shape[1], dtype=bool)
+    free[pivs] = False
+    out = np.zeros((int(free.sum()), m.shape[1]), dtype=np.int64)
+    out[:, free] = np.eye(out.shape[0], dtype=np.int64)
+    out[:, pivs] = -rows[:, free].T.astype(np.int64)
     return asmod(out, p)
 
 
@@ -64,17 +62,14 @@ def nilpotent_chains(n_mat, p):
         if len(powers) > dim + 1:
             raise ValueError("matrix is not nilpotent")
     top_len = len(powers) - 1  # N^top_len = 0
-    kernels = [np.zeros((0, dim), dtype=np.int64)]
-    for k in range(1, top_len + 1):
-        kernels.append(_kernel_mod(powers[k], p))
+    # N^(k-1) maps ker N^k onto the bottoms of the chains of length >= k,
+    # with kernel ker N^(k-1); so v in ker N^k tops a new chain exactly
+    # when its bottom N^(k-1) v is independent of the bottoms chosen so far
+    bottoms = Echelon(p, dim)
     chains = []
     for k in range(top_len, 0, -1):
-        # span of the kernel below level k and the level-k vectors of the
-        # longer chains already chosen
-        ech = Echelon(p, dim)
-        ech.add_rows(np.concatenate([kernels[k - 1]] + [ch[k - 1 : k] for ch in chains]))
-        cands = kernels[k]
-        new = ech.add_rows(cands)
+        cands = _kernel_mod(powers[k], p)
+        new = bottoms.add_rows(matmul_mod(cands, powers[k - 1].T, p))
         if not new:
             continue
         levels = [cands[new].astype(np.int64)]
@@ -121,19 +116,37 @@ class BlockPiece:
 
 
 @lru_cache(maxsize=None)
+def _block_delta_matrix(p: int, n: int, d: int):
+    """Delta on Sym^d of an n-dim block, in the monomial order of BlockPiece.
+
+    Built from degree d - 1: every monomial is x_j f with x_j its first
+    variable, and Delta(x_j f) = x_j Delta f + x_{j+1} sigma f, where
+    sigma f = f + Delta f and x_{n+1} = 0.
+    """
+    piece = BlockPiece(n, d)
+    out = np.zeros((piece.size, piece.size), dtype=np.int64)
+    if d == 0:
+        return asmod(out, p)
+    prev = BlockPiece(n, d - 1)
+    dprev = _block_delta_matrix(p, n, d - 1).astype(np.int64)
+    sprev = dprev + np.eye(prev.size, dtype=np.int64)
+    unit = np.eye(n, dtype=np.int64)
+    # times[j][i]: index in piece of x_j times monomial i of prev
+    times = [piece.rank(prev.exps + unit[j]) for j in range(n)]
+    first = np.where(prev.exps.any(axis=1), np.argmax(prev.exps > 0, axis=1), n)
+    for j in range(n):
+        src = first >= j  # the f for which x_j is the first variable of x_j f
+        cols = times[j][src]
+        out[np.ix_(times[j], cols)] += dprev[:, src]
+        if j + 1 < n:
+            out[np.ix_(times[j + 1], cols)] += sprev[:, src]
+    return asmod(out, p)
+
+
+@lru_cache(maxsize=None)
 def _block_delta_chains(p: int, n: int, d: int):
     """(BlockPiece, chains) for Delta acting on Sym^d of an n-dim block."""
-    from .field import PrimeField
-
-    piece = BlockPiece(n, d)
-    vspec = ModuleSpec(PrimeField(p), [n])
-    dmat = np.zeros((piece.size, piece.size), dtype=np.int64)
-    for col in range(piece.size):
-        mono = tuple(int(e) for e in piece.exps[col])
-        img = delta(Polynomial.from_monomial(vspec, mono))
-        for mm, c in img.terms.items():
-            dmat[piece.rank(np.array(mm))[0], col] = c
-    return piece, nilpotent_chains(dmat, p)
+    return BlockPiece(n, d), nilpotent_chains(_block_delta_matrix(p, n, d), p)
 
 
 @lru_cache(maxsize=None)

@@ -132,7 +132,8 @@ class Echelon:
 
     def add_rows(self, m):
         """Insert rows; returns the indices of the rows of m that increased
-        the rank, in order."""
+        the rank (each independent of the span and of the earlier rows of
+        m), ordered by the pivot column each contributed, not by index."""
         m = asmod(np.atleast_2d(m), self.p)
         if m.shape[0] == 0:
             return []

@@ -1,6 +1,7 @@
 """The tensor-folded chain bases, cross-checked against the symbolic
 polynomial operators."""
 
+import math
 import random
 from collections import Counter
 
@@ -8,13 +9,17 @@ import numpy as np
 import pytest
 
 from modcov.chains import (
+    BlockPiece,
     PieceChains,
     PieceIndex,
+    _block_delta_chains,
+    _block_delta_matrix,
+    _kernel_mod,
     _tensor_templates,
     multiplication_map,
     nilpotent_chains,
 )
-from modcov.fastlinalg import matmul_mod
+from modcov.fastlinalg import Echelon, _dtype, matmul_mod
 from modcov.field import FpMatrix, PrimeField, rref
 from modcov.modules import module_spec
 from modcov.poly import (
@@ -196,3 +201,100 @@ def test_multiplication_map_matches_polynomial_product():
         f = src.vector_to_poly(fvec)
         got = matmul_mod(mult, fvec[:, None], v.p)[:, 0]
         assert tgt.vector_to_poly(got) == g * f
+
+
+# every single-block piece Sym^d(V_n) with 1 <= n <= p, d <= 2p and
+# dimension <= 60, for p in {2, 3, 5, 7}: 130 pieces
+BLOCK_PIECES = [
+    (p, n, d)
+    for p in (2, 3, 5, 7)
+    for n in range(1, p + 1)
+    for d in range(2 * p + 1)
+    if math.comb(n + d - 1, d) <= 60
+]
+
+
+def _block_delta_reference(p, n, d):
+    """Delta on Sym^d(V_n), one monomial at a time through poly.delta."""
+    piece = BlockPiece(n, d)
+    vspec = module_spec(p, [n])
+    out = np.zeros((piece.size, piece.size), dtype=np.int64)
+    for col, mono in enumerate(piece.exps):
+        img = delta(Polynomial.from_monomial(vspec, tuple(int(e) for e in mono)))
+        for mm, c in img.terms.items():
+            out[piece.rank(np.array(mm))[0], col] = c
+    return out
+
+
+def _jordan_type_from_ranks(m, p):
+    """Sorted chain lengths of a nilpotent m: rank N^(k-1) - rank N^k
+    chains have length >= k.  Ranks come from the pure-Python rref."""
+    field = PrimeField(p)
+    ranks = [m.shape[0]]
+    power = np.eye(m.shape[0], dtype=np.int64)
+    while ranks[-1]:
+        power = (power @ m) % p
+        ranks.append(rref(FpMatrix.from_rows(field, power.tolist()))[2])
+    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]
+    return sorted(
+        k for k in range(1, len(at_least)) for _ in range(at_least[k - 1] - at_least[k])
+    )
+
+
+def test_block_delta_matrix_matches_reference():
+    assert len(BLOCK_PIECES) == 130
+    for p, n, d in BLOCK_PIECES:
+        got = _block_delta_matrix(p, n, d)
+        assert got.dtype == _dtype(p)
+        assert (got == _block_delta_reference(p, n, d)).all(), (p, n, d)
+
+
+def test_block_chain_lengths_match_delta_ranks():
+    for p, n, d in BLOCK_PIECES:
+        _, chains = _block_delta_chains(p, n, d)
+        expected = _jordan_type_from_ranks(_block_delta_reference(p, n, d), p)
+        assert sorted(c.shape[0] for c in chains) == expected, (p, n, d)
+
+
+def _chains_by_kernel_levels(n_mat, p):
+    """Reference chain selection: at level k, the tops are the vectors of
+    ker N^k independent of ker N^(k-1) and of the level-k vectors of the
+    longer chains, inserted into a fresh echelon per level."""
+    n_mat = np.asarray(n_mat, dtype=np.int64) % p
+    dim = n_mat.shape[0]
+    powers = [np.eye(dim, dtype=np.int64)]
+    while powers[-1].any():
+        powers.append(matmul_mod(powers[-1], n_mat, p).astype(np.int64))
+    kernels = [np.zeros((0, dim), dtype=np.int64)]
+    kernels += [_kernel_mod(powers[k], p) for k in range(1, len(powers))]
+    chains = []
+    for k in range(len(powers) - 1, 0, -1):
+        ech = Echelon(p, dim)
+        ech.add_rows(np.concatenate([kernels[k - 1]] + [ch[k - 1 : k] for ch in chains]))
+        new = ech.add_rows(kernels[k])
+        if not new:
+            continue
+        levels = [kernels[k][new].astype(np.int64)]
+        for _ in range(k - 1):
+            levels.append(matmul_mod(levels[-1], n_mat.T, p).astype(np.int64))
+        chains.extend(np.stack(levels[::-1], axis=1))
+    return chains
+
+
+def _chain_sets(chains):
+    """Per chain length, the sorted chains as byte strings (order-free)."""
+    out = {}
+    for ch in chains:
+        out.setdefault(ch.shape[0], []).append(np.asarray(ch, dtype=np.int64).tobytes())
+    return {k: sorted(v) for k, v in out.items()}
+
+
+def test_nilpotent_chains_pick_the_reference_tops_per_level():
+    rng = random.Random(60)
+    cases = [(_block_delta_reference(p, n, d), p) for p, n, d in BLOCK_PIECES]
+    for p in (2, 3, 5, 7):
+        for sizes in [(3, 2, 2, 1), (4, 1, 1), (2, 2, 2), (5, 3, 3, 1, 1), (6, 2)]:
+            cases.append((_jordan_in_random_basis(rng, sizes, p), p))
+    for m, p in cases:
+        got = _chain_sets(nilpotent_chains(m, p))
+        assert got == _chain_sets(_chains_by_kernel_levels(m, p))

@@ -232,6 +232,51 @@ def test_act_exit_codes(p, v, op, expr, capsys):
     capsys.readouterr()
 
 
+def test_beta_inconclusive_mismatch_exits_0(capsys):
+    # a cap below the certified one truncates the computation: the
+    # mismatch with the formula is reported but not verified
+    assert main(["beta", "--p", "3", "--v", "3", "--w", "2", "--cap", "1"]) == 0
+    entry = json.loads(capsys.readouterr().out)
+    assert entry["status"].startswith("inconclusive")
+    assert entry["agree"] is False
+
+
+@pytest.mark.parametrize("w", ["1", "2,2"])
+def test_beta_trivial_v_exits_2(w, capsys):
+    # V = V_1: G acts trivially and there is no reduced V to compute over
+    assert main(["beta", "--p", "2", "--v", "1", "--w", w]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+_BLOCKS = st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=2).map(
+        lambda bs: ",".join(str(b) for b in bs)
+    ),
+    st.sampled_from(["", ",", "3,", "2,,2", "-1", "a", "2;3"]),
+)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    p=st.sampled_from(["2", "3", "4", "x"]),
+    v=_BLOCKS,
+    w=_BLOCKS,
+    cap=st.one_of(st.none(), st.sampled_from(["0", "1", "2", "6", "-1", "x"])),
+)
+def test_beta_exit_codes(p, v, w, cap, capsys):
+    # valid and malformed p, V, W and cap: 0 or 2, never a traceback
+    argv = ["beta", "--p", p, "--v", v, "--w", w]
+    if cap is not None:
+        argv += ["--cap", cap]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a non-integer --p or --cap
+        code = exc.code
+    assert code in (0, 2)
+    capsys.readouterr()
+
+
 _SWEEP = ["sweep", "--max-blocks", "1", "--max-block-size", "2"]
 
 

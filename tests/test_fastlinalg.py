@@ -118,3 +118,17 @@ def test_echelon_incremental_rank():
 
 def test_asmod_dtype():
     assert asmod(np.array([[7, -1]]), 5).tolist() == [[2, 4]]
+
+
+def test_add_rows_returns_new_rows_by_pivot_column():
+    ech = Echelon(5, 4)
+    assert ech.add_rows(np.array([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])) == [2, 1, 0]
+    # reduced against the span first: row 0 becomes e_3, row 2 e_1, and
+    # row 1 depends on row 0 and the span
+    ech = Echelon(5, 4)
+    ech.add_rows(np.array([[1, 0, 0, 0], [0, 0, 1, 0]]))
+    assert ech.add_rows(np.array([[1, 0, 0, 1], [2, 0, 3, 2], [4, 1, 0, 0]])) == [2, 0]
+    # past the base-case size the recursion keeps the same order
+    n = 80
+    ech = Echelon(3, n)
+    assert ech.add_rows(np.eye(n, dtype=np.int64)[::-1]) == list(range(n - 1, -1, -1))

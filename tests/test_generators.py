@@ -1,10 +1,14 @@
 """Minimal generator degrees: known small cases and internal consistency."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
+import modcov
 from modcov.covariants import covariant_basis, from_weight_poly
 from modcov.formulas import beta_invariants_formula, coinvariant_top_degree_bound
 from modcov.generators import (
@@ -255,3 +259,24 @@ def test_orbit_pieces_get_equal_counts():
                 assert direct == len(piece(eng._canonical_md(md)[0], d))
                 assert direct == sum(g.multidegree == md for g in obj.gens)
         assert all(g.poly.multidegree() == g.multidegree for g in obj.gens)
+
+
+def test_gamma_and_covariant_beta_leave_numpy_ma_unimported():
+    # numpy's set routines (setdiff1d, unique, union1d ...) import numpy.ma
+    # on first use, which costs about 1.2 MB of peak RSS
+    code = (
+        "import sys\n"
+        "from modcov import generators\n"
+        "from modcov.modules import module_spec\n"
+        "v = module_spec(3, [3, 2])\n"
+        "generators.gamma(v)\n"
+        "generators.covariant_beta(v, module_spec(3, [2]))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(modcov.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
