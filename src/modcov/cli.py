@@ -9,8 +9,9 @@ Subcommands:
   decompose  split a covariant as h = N_j*h1 + h2 with h2 a transfer
              covariant (prints the parts and a transfer witness)
 
-Exit codes: 0 success/agreement, 1 verified mismatch between formula and
-computation, 2 usage or input error.
+Every computed beta runs through its certified cap.  Exit codes: 0
+success/agreement, 1 verified mismatch between formula and computation or
+a failed split in decompose, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import time
 from . import covariants, formulas, generators
 from .modules import ModuleSpec, module_spec
 from .parsing import ParseError, format_polynomial, parse_polynomial
-from .poly import _compositions, delta, delta_power, norm, transfer, weight
+from .poly import _compositions, apply_sigma, delta, delta_power, norm, transfer, weight
 
 
 class UsageError(Exception):
@@ -42,16 +43,6 @@ def _ints(text: str):
     if not values:
         raise UsageError(f"expected a comma-separated list of integers, got {text!r}")
     return values
-
-
-def _cap(text: str) -> int:
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return cap
 
 
 def _vspec(p: int, blocks) -> ModuleSpec:
@@ -83,8 +74,6 @@ def cmd_act(args) -> int:
         print(format_polynomial(delta_power(f, int(m.group(1)))))
         return 0
     if op == "sigma":
-        from .poly import apply_sigma
-
         print(format_polynomial(apply_sigma(f)))
     elif op == "delta":
         print(format_polynomial(delta(f)))
@@ -120,7 +109,7 @@ def _entry(p, v_blocks, w_blocks, status):
     return entry
 
 
-def _case_result(p, v_blocks, w_blocks, mode, cap_override=None):
+def _case_result(p, v_blocks, w_blocks, mode):
     """One comparison entry of the report (beta/sweep share this)."""
     vspec = _vspec(p, v_blocks)
     wspec = _vspec(p, w_blocks)
@@ -142,15 +131,11 @@ def _case_result(p, v_blocks, w_blocks, mode, cap_override=None):
         # decomposable W: generators are the per-summand generators
         # (degree-0 generators of trivial summands included implicitly)
         for n in w_sizes or [1]:
-            rep = generators.covariant_beta(
-                vred, module_spec(p, [n]), cap_override=cap_override
-            )
+            rep = generators.covariant_beta(vred, module_spec(p, [n]))
             betas.append(rep.beta)
             degs = rep.generator_degrees() if len(w_sizes) <= 1 else None
             cap_used = rep.cap_used
             certificate = rep.cap_certificate
-            if not rep.certified:
-                entry["status"] = "inconclusive: cap override below certified cap"
         entry["beta_computed"] = max(betas)
         entry["generator_degrees"] = degs
         entry["cap_used"] = cap_used
@@ -162,12 +147,9 @@ def _case_result(p, v_blocks, w_blocks, mode, cap_override=None):
 
 
 def cmd_beta(args) -> int:
-    entry = _case_result(args.p, _ints(args.v), _ints(args.w), args.mode, args.cap)
+    entry = _case_result(args.p, _ints(args.v), _ints(args.w), args.mode)
     print(json.dumps(entry, indent=2))
-    # below the certified cap a mismatch is inconclusive, not verified
-    if args.mode == "both" and entry["status"] == "ok" and not entry["agree"]:
-        return 1
-    return 0
+    return 1 if entry["agree"] is False else 0
 
 
 def _max_piece_dim(p, v_blocks):
@@ -204,10 +186,7 @@ def cmd_sweep(args) -> int:
         if args.max_piece_dim and _max_piece_dim(p, v_blocks) > args.max_piece_dim:
             entries.append(_entry(p, v_blocks, w_blocks, "skipped: budget"))
             continue
-        entry = _case_result(p, v_blocks, w_blocks, "both", args.cap)
-        if args.max_case_seconds and entry["elapsed_ms"] > args.max_case_seconds * 1000:
-            entry["status"] = "over budget"
-        entries.append(entry)
+        entries.append(_case_result(p, v_blocks, w_blocks, "both"))
     report = {"cases": entries}
     try:
         with open(args.out, "w") as fh:
@@ -299,7 +278,6 @@ def _build_parser():
     b.add_argument("--v", required=True)
     b.add_argument("--w", required=True)
     b.add_argument("--mode", choices=["formula", "compute", "both"], default="both")
-    b.add_argument("--cap", type=_cap, default=None, help="degree cap override")
     b.set_defaults(func=cmd_beta)
 
     s = sub.add_parser("sweep", help="run a family of beta comparisons")
@@ -308,11 +286,8 @@ def _build_parser():
     s.add_argument("--max-block-size", type=int, required=True)
     s.add_argument("--w", required=True, help="comma-separated W block sizes")
     s.add_argument("--out", required=True, help="JSON report path (CSV written next to it)")
-    s.add_argument("--cap", type=_cap, default=None, help="degree cap override")
     s.add_argument("--max-piece-dim", type=int, default=None,
                    help="skip cases whose largest graded piece exceeds this")
-    s.add_argument("--max-case-seconds", type=float, default=None,
-                   help="mark cases exceeding this wall-clock as over budget")
     s.set_defaults(func=cmd_sweep)
 
     d = sub.add_parser("decompose", help="split h = N_j*h1 + h2 (transfer h2)")

@@ -287,11 +287,14 @@ def decompose_transfer_covariant(h: Covariant, module_gens, witness=None, gamma=
     # columns: q * g for invariant basis q of degree d - deg(g)
     cols = []
     col_meta = []  # (gen index, invariant q)
+    bases = {}  # degree -> invariant basis, shared by generators of equal degree
     for gi, g in enumerate(module_gens):
         e = g.total_degree()
         if e is None or e >= d:
             continue
-        for q in invariant_basis(vspec, d - e):
+        if d - e not in bases:
+            bases[d - e] = invariant_basis(vspec, d - e)
+        for q in bases[d - e]:
             cols.append(coefficient_vector(q * g, index))
             col_meta.append((gi, q))
     if not cols:

@@ -83,6 +83,8 @@ def beta_covariants_formula(vspec: ModuleSpec, wspec: ModuleSpec):
     w_sizes = [n for n in wspec.blocks if n > 1]
     if not w_sizes:
         return 0, W_TRIVIAL
+    if vred.num_blocks == 0:
+        raise ValueError("V must have at least one block of size > 1")
     if vred.blocks == (2,):
         return max(w_sizes) - 1, V2_EXCEPTION
     if max(vred.blocks) == 2:

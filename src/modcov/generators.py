@@ -52,11 +52,10 @@ class BetaReport:
 
     ``target`` is one of "algebra", "polynomial-module", "covariant-module".
     ``generator_counts`` maps degree -> number of minimal generators;
-    ``beta`` is the largest degree with a nonzero count.  ``certified`` is
-    False when a cap override cut the search below the certified cap, in
-    which case degrees above ``cap_used`` are unexplored.  ``witnesses``
-    holds one minimal generator per generating degree (a Polynomial, or a
-    weight polynomial f_1 for covariant modules).
+    ``beta`` is the largest degree with a nonzero count.  Every report runs
+    through the certified cap ``cap_used``, so ``certified`` is always True.
+    ``witnesses`` holds one minimal generator per generating degree (a
+    Polynomial, or a weight polynomial f_1 for covariant modules).
     """
 
     target: str
@@ -225,16 +224,6 @@ class GradedEngine:
         obj.counts[d] = count
         obj.done = d
 
-    def _algebra_piece(self, md, d):
-        """Invariants of piece md outside the span of lower products."""
-        inv = self._inv_rows(md)
-        if inv.shape[0] == 0:
-            return []
-        ech = self._span_echelon(md, d, self._alg.gens)
-        new = ech.add_rows(inv)
-        index = self._chains(md).index
-        return [index.vector_to_poly(inv[i]) for i in new]
-
     def _coinv_piece(self, md, d):
         """Monomial lifts of a coinvariant basis of piece md (module
         generators of k[V] over A)."""
@@ -281,7 +270,11 @@ class GradedEngine:
 
     def _covariant_piece(self, md, d, n, gens):
         """Weight <= n elements of piece md outside the span of (positive
-        degree invariants) * (module generators of lower degree)."""
+        degree invariants) * (module generators of lower degree).
+
+        With n = 1 and the algebra generators these are the new minimal
+        algebra generators: the weight <= 1 elements are the invariants.
+        """
         pc = self._chains(md)
         dim_m = pc.dim_weight_le(n)
         if dim_m == 0:
@@ -326,7 +319,9 @@ class GradedEngine:
             if cap is not None and d >= need:
                 return
             d += 1
-            self._step(self._alg, d, lambda md: self._algebra_piece(md, d))
+            self._step(
+                self._alg, d, lambda md: self._covariant_piece(md, d, 1, self._alg.gens)
+            )
             if self._gamma is None:
                 self._step(self._coinv, d, lambda md: self._coinv_piece(md, d))
                 if self._coinv.counts[d] == 0:
@@ -385,30 +380,21 @@ def _engine(vspec: ModuleSpec) -> GradedEngine:
     return eng
 
 
-def _report(target, obj: _Graded, certified_cap, certificate, cap_override=None):
-    """BetaReport of obj through the certified cap or the override; the
-    witness of each degree is its first generator in discovery order."""
-    if cap_override is None:
-        cap_used = certified_cap
-        certified = True
-    else:
-        if cap_override < 0:
-            raise ValueError("cap override must be >= 0")
-        cap_used = cap_override
-        certified = cap_override >= certified_cap
-    kept = {d: c for d, c in obj.counts.items() if d <= cap_used}
+def _report(target, obj: _Graded, cap, certificate):
+    """BetaReport of obj through the certified cap (obj may run further);
+    the witness of each degree is its first generator in discovery order."""
+    kept = {d: c for d, c in obj.counts.items() if d <= cap}
     nonzero = [d for d, c in kept.items() if c]
     witnesses = {}
     for g in obj.gens:
-        if g.degree <= cap_used:
+        if g.degree <= cap:
             witnesses.setdefault(g.degree, g.poly)
     return BetaReport(
         target=target,
         generator_counts=kept,
         beta=max(nonzero) if nonzero else 0,
-        cap_used=cap_used,
+        cap_used=cap,
         cap_certificate=certificate,
-        certified=certified,
         witnesses=witnesses,
     )
 
@@ -442,7 +428,7 @@ def polynomial_module_beta(vspec: ModuleSpec) -> BetaReport:
     return _report("polynomial-module", eng._coinv, g, cert)
 
 
-def algebra_beta(vspec: ModuleSpec, cap_override=None) -> BetaReport:
+def algebra_beta(vspec: ModuleSpec) -> BetaReport:
     """Minimal generator degrees of the invariant algebra k[V]^G.
 
     The certified cap is max(p, m*p - dim V, gamma): norms have degree p,
@@ -451,15 +437,15 @@ def algebra_beta(vspec: ModuleSpec, cap_override=None) -> BetaReport:
     """
     eng = _engine(vspec)
     cap = eng.algebra_cap()
-    eng.ensure_algebra(through=cap_override)
+    eng.ensure_algebra()
     cert = (
         f"max(p = {eng.p}, m*p - dim(V) = {eng.m * eng.p - vspec.dim}, "
         f"gamma = {eng.gamma}) = {cap}"
     )
-    return _report("algebra", eng._alg, cap, cert, cap_override)
+    return _report("algebra", eng._alg, cap, cert)
 
 
-def covariant_beta(vspec: ModuleSpec, wspec: ModuleSpec, cap_override=None) -> BetaReport:
+def covariant_beta(vspec: ModuleSpec, wspec: ModuleSpec) -> BetaReport:
     """Minimal generator degrees of k[V, V_n]^G over k[V]^G.
 
     W must be indecomposable (a single block).  The degree-0 generator w_1
@@ -473,12 +459,12 @@ def covariant_beta(vspec: ModuleSpec, wspec: ModuleSpec, cap_override=None) -> B
     n = wspec.blocks[0]
     eng = _engine(vspec)
     cap = eng.covariant_cap()
-    eng.ensure_covariant(n, through=cap_override)
+    eng.ensure_covariant(n)
     cert = (
         f"max(gamma = {eng.gamma}, m*p - dim(V) = "
         f"{eng.m * eng.p - vspec.dim}) = {cap}"
     )
-    return _report("covariant-module", eng._cov[n], cap, cert, cap_override)
+    return _report("covariant-module", eng._cov[n], cap, cert)
 
 
 def is_decomposable_invariant(f: Polynomial, lower_gens=None) -> bool:

@@ -64,6 +64,14 @@ def test_covariant_formula_rejects_mixed_primes():
         F.beta_covariants_formula(module_spec(3, [2]), module_spec(5, [2]))
 
 
+def test_covariant_formula_names_a_trivial_v():
+    # V = 2V_1: nothing is left after reduction; W = V_1 still gives 0
+    v = module_spec(2, [1, 1])
+    assert F.beta_covariants_formula(v, module_spec(2, [1])) == (0, F.W_TRIVIAL)
+    with pytest.raises(ValueError, match="at least one block of size > 1"):
+        F.beta_covariants_formula(v, module_spec(2, [2, 2]))
+
+
 def test_known_generators_v3():
     for p in (3, 5):
         v = module_spec(p, [3])

@@ -158,17 +158,6 @@ def test_covariant_witnesses_have_bounded_weight():
         assert delta_power(w, 2).is_zero()
 
 
-def test_cap_override_truncates_and_flags():
-    v = module_spec(3, [2])
-    low = algebra_beta(v, cap_override=1)
-    assert not low.certified
-    assert low.cap_used == 1
-    assert low.generator_degrees() == [1]
-    high = algebra_beta(v, cap_override=10)
-    assert high.certified
-    assert high.generator_degrees() == [1, 3]
-
-
 def test_is_decomposable_invariant():
     v = module_spec(3, [2])
     x1, x2 = _vars(v)
@@ -249,7 +238,7 @@ def test_orbit_pieces_get_equal_counts():
     eng.ensure_covariant(2)
     n2 = eng._cov[2]
     for obj, piece in (
-        (eng._alg, eng._algebra_piece),
+        (eng._alg, lambda md, d: eng._covariant_piece(md, d, 1, eng._alg.gens)),
         (eng._coinv, eng._coinv_piece),
         (n2, lambda md, d: eng._covariant_piece(md, d, 2, n2.gens)),
     ):
