@@ -172,6 +172,8 @@ def cmd_sweep(args) -> int:
     p_list = _ints(args.p)
     for p in p_list:  # refuse a bad prime before any case runs
         _vspec(p, [])
+    if args.max_piece_dim is not None and args.max_piece_dim < 1:
+        raise UsageError(f"--max-piece-dim must be at least 1, got {args.max_piece_dim}")
     w_sizes = _ints(args.w)
     cases = []
     for p in p_list:

@@ -9,18 +9,15 @@ other components from it.
 
 from __future__ import annotations
 
-from .field import FpMatrix, kernel_basis, solve
+from .generators import span_coefficients
 from .modules import ModuleSpec, sigma_on_w
 from .poly import (
     Polynomial,
     apply_sigma,
-    coefficient_vector,
     delta,
     delta_power,
     delta_power_preimage,
     divide_by_norm,
-    graded_basis,
-    invariant_basis,
     norm,
     weight,
 )
@@ -159,40 +156,6 @@ def to_weight_poly(h: Covariant) -> Polynomial:
     return h.f1
 
 
-def covariant_basis(vspec: ModuleSpec, wspec: ModuleSpec, d: int) -> list:
-    """Basis of k[V,W]^G in degree d: kernel of (diagonal sigma - 1) on k[V]_d (x) W."""
-    n = wspec.blocks[0]
-    mons = graded_basis(vspec, d)
-    index = {m: k for k, m in enumerate(mons)}
-    dim = len(mons) * n
-    mat = FpMatrix(vspec.field, dim, dim)
-    sig_w = [sigma_on_w(wspec, i) for i in range(1, n + 1)]
-    for col_m, m in enumerate(mons):
-        img = apply_sigma(Polynomial.from_monomial(vspec, m))
-        for i in range(1, n + 1):
-            col = col_m * n + (i - 1)
-            for mm, c in img.terms.items():
-                row_m = index[mm]
-                for l in range(n):
-                    coef = (c * sig_w[i - 1][l]) % vspec.p
-                    if coef:
-                        row = row_m * n + l
-                        mat[row, col] = mat[row, col] + coef
-    # kernel of sigma_diag - 1
-    for k in range(dim):
-        mat[k, k] = mat[k, k] - 1
-    out = []
-    for vec in kernel_basis(mat):
-        comps = [Polynomial.zero(vspec) for _ in range(n)]
-        for flat, c in enumerate(vec):
-            if c:
-                m = mons[flat // n]
-                i = flat % n
-                comps[i] = comps[i] + Polynomial.from_monomial(vspec, m, c)
-        out.append(Covariant(vspec, wspec, comps))
-    return out
-
-
 def make_transfer_covariant(f: Polynomial, wspec: ModuleSpec, s: int) -> Covariant:
     """Components (Delta^(p-s) f, ..., Delta^(p-1) f, 0, ..., 0)."""
     p = f.vspec.p
@@ -205,22 +168,14 @@ def make_transfer_covariant(f: Polynomial, wspec: ModuleSpec, s: int) -> Covaria
 
 
 def transfer_witness(h: Covariant):
-    """A polynomial f whose Delta-chain ending at Delta^(p-1)(f) gives h, or None.
+    """A polynomial u whose Delta-chain ending at Delta^(p-1)(u) gives h, or None.
 
-    Solves f_1 = Delta^(p-s)(f) on the graded piece; the rest of the chain
-    then matches automatically.
+    u is a preimage of f_1 under Delta^(p-s), s = support(h): f_1's chain
+    coordinates shifted up p - s levels.  The rest of the chain follows.
     """
     if h.is_zero():
         raise ValueError("the zero covariant is excluded")
-    s = h.support()
-    p = h.vspec.p
-    out = Polynomial.zero(h.vspec)
-    for comp in h.f1.homogeneous_components().values():
-        pre = delta_power_preimage(comp, p - s)
-        if pre is None:
-            return None
-        out = out + pre
-    return out
+    return delta_power_preimage(h.f1, h.vspec.p - h.support())
 
 
 def decompose_by_norm(h: Covariant, j: int):
@@ -266,10 +221,10 @@ def decompose_by_norm(h: Covariant, j: int):
 def decompose_transfer_covariant(h: Covariant, module_gens, witness=None, gamma=None):
     """Write a transfer covariant of degree > gamma as sum q_i * c_i.
 
-    ``module_gens`` must generate k[V] as a module over k[V]^G up to the
-    degree of the witness.  Returns a list of (q_i, c_i) pairs with each
-    q_i an invariant of positive degree and each c_i a covariant of degree
-    < deg(h), reconstructing h exactly.
+    ``module_gens`` must be multihomogeneous and generate k[V] as a module
+    over k[V]^G up to the degree of the witness.  Returns a list of
+    (q_i, c_i) pairs with each q_i an invariant of positive degree and each
+    c_i a covariant of degree < deg(h), reconstructing h exactly.
     """
     if h.is_zero():
         raise ValueError("the zero covariant is excluded")
@@ -280,42 +235,17 @@ def decompose_transfer_covariant(h: Covariant, module_gens, witness=None, gamma=
         witness = transfer_witness(h)
         if witness is None:
             raise ValueError("h is not a transfer covariant")
-    vspec, wspec = h.vspec, h.wspec
-    s = h.support()
-    mons = graded_basis(vspec, d)
-    index = {m: k for k, m in enumerate(mons)}
-    # columns: q * g for invariant basis q of degree d - deg(g)
-    cols = []
-    col_meta = []  # (gen index, invariant q)
-    bases = {}  # degree -> invariant basis, shared by generators of equal degree
-    for gi, g in enumerate(module_gens):
-        e = g.total_degree()
-        if e is None or e >= d:
-            continue
-        if d - e not in bases:
-            bases[d - e] = invariant_basis(vspec, d - e)
-        for q in bases[d - e]:
-            cols.append(coefficient_vector(q * g, index))
-            col_meta.append((gi, q))
-    if not cols:
-        raise ValueError("no admissible generator products in this degree")
-    mat = FpMatrix.from_rows(vspec.field, [list(col) for col in zip(*cols)])
-    x = solve(mat, coefficient_vector(witness, index))
-    if x is None:
+    qs = span_coefficients(witness, module_gens)
+    if qs is None:
         raise ValueError(
             "witness could not be expressed over module_gens; "
             "generators are incomplete or degree <= gamma"
         )
-    qs = {}
-    for coef, (gi, q) in zip(x, col_meta):
-        if coef:
-            qs[gi] = qs.get(gi, Polynomial.zero(vspec)) + q.scale(coef)
+    wspec, s = h.wspec, h.support()
     pairs = []
-    recon = zero_covariant(vspec, wspec)
-    for gi, q in qs.items():
-        if q.is_zero():
-            continue
-        c = make_transfer_covariant(module_gens[gi], wspec, s)
+    recon = zero_covariant(h.vspec, wspec)
+    for g, q in qs.items():
+        c = make_transfer_covariant(g, wspec, s)
         if c.is_zero():
             continue
         pairs.append((q, c))

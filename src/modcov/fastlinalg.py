@@ -4,7 +4,8 @@ All arithmetic is exact: products are taken in float64 and reduced mod p
 afterwards.  Entries are < p, so a dot product over k terms is bounded by
 k*(p-1)^2, which ``matmul_mod`` checks against 2^53.  Heavy work is
 routed through BLAS matmuls; the per-row fallback only ever touches small
-blocks.
+blocks.  ``solve_mod`` answers x @ a = b with one ``rref_mod`` of the
+transposed augmented matrix, free coordinates set to 0.
 
 Cross-checked against the pure-Python ``field`` module in the test suite.
 """
@@ -112,6 +113,21 @@ def rref_mod(m, p: int):
     return rows[order], pivs[order], [origs[i] for i in order]
 
 
+def solve_mod(a, b, p: int):
+    """Some x with x @ a = b mod p, or None if there is none.
+
+    One rref of [a^T | b]; its free coordinates are set to 0, as
+    ``field.solve`` on a^T does."""
+    a = asmod(a, p)
+    aug = np.concatenate([a.T, asmod(b, p).reshape(-1, 1)], axis=1)
+    rows, pivs, _ = rref_mod(aug, p)
+    if pivs.size and pivs[-1] == a.shape[0]:
+        return None  # a pivot in the b column: inconsistent
+    x = np.zeros(a.shape[0], dtype=_dtype(p))
+    x[pivs] = rows[:, -1]
+    return x
+
+
 class Echelon:
     """A growing rref basis mod p supporting batched row insertion."""
 
@@ -148,7 +164,3 @@ class Echelon:
         self.rows = self.rows[order]
         self.pivcols = self.pivcols[order]
         return new_origs
-
-    def contains(self, v) -> bool:
-        red = self.reduce(np.atleast_2d(v))
-        return not red.any()

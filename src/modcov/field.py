@@ -1,9 +1,9 @@
 """Arithmetic in the prime field F_p and dense linear algebra over it.
 
 Matrices are small and dense at this layer; everything is exact, with
-entries stored as canonical residues in [0, p).  The fast numpy-backed
-path used by the graded-generator computations lives in ``fastlinalg``
-and is cross-checked against this module.
+entries stored as canonical residues in [0, p).  The package computes
+with the numpy-backed ``fastlinalg``; the dense linear algebra here is the
+reference the tests cross-check it against.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import PieceChains, multiplication_map
-from .fastlinalg import Echelon, asmod
+from .fastlinalg import Echelon, asmod, solve_mod
 from .fastlinalg import matmul_mod as _mm
 from .modules import ModuleSpec
 from .poly import Polynomial, _compositions, var_index, variables
@@ -43,6 +43,7 @@ __all__ = [
     "is_decomposable_covariant",
     "is_decomposable_invariant",
     "module_generators",
+    "span_coefficients",
 ]
 
 
@@ -170,12 +171,12 @@ class GradedEngine:
 
     # -- spans of lower-degree products ---------------------------------
 
-    def _span_echelon(self, md, d, gens) -> Echelon:
-        """Echelon of sum over gens g of (positive-degree invariants)*g
-        inside the degree-d piece of multidegree md."""
+    def _span_rows(self, md, d, gens):
+        """(generator, q-multidegree, invariant rows, product rows) for each
+        of gens below degree d that fits inside the degree-d piece md: the
+        product rows are the invariants of piece md - md(g) times g."""
         target = self._chains(md).index
-        ech = Echelon(self.p, target.size)
-        batches = []
+        out = []
         for g in gens:
             if g.degree >= d:
                 continue
@@ -185,15 +186,23 @@ class GradedEngine:
             inv = self._inv_rows(qmd)
             if inv.shape[0] == 0:
                 continue
-            if g.degree == 0:
-                batches.append(inv)  # multiplying by a nonzero constant
+            if g.degree == 0:  # a nonzero constant c: the products are c * inv
+                prod = inv * next(iter(g.poly.terms.values())) % self.p
             else:
                 mult = multiplication_map(g.poly, self._chains(qmd).index, target)
-                batches.append(_mm(inv, mult.T, self.p))
-        if batches:
+                prod = _mm(inv, mult.T, self.p)
+            out.append((g, qmd, inv, prod))
+        return out
+
+    def _span_echelon(self, md, d, gens) -> Echelon:
+        """Echelon of sum over gens g of (positive-degree invariants)*g
+        inside the degree-d piece of multidegree md."""
+        ech = Echelon(self.p, self._chains(md).index.size)
+        rows = [prod for *_, prod in self._span_rows(md, d, gens)]
+        if rows:
             # one bulk insertion: the recursive rref is much cheaper than
             # reducing many small batches against a growing basis
-            ech.add_rows(np.concatenate(batches, axis=0))
+            ech.add_rows(np.concatenate(rows, axis=0))
         return ech
 
     # -- one graded step ------------------------------------------------
@@ -467,6 +476,38 @@ def covariant_beta(vspec: ModuleSpec, wspec: ModuleSpec) -> BetaReport:
     return _report("covariant-module", eng._cov[n], cap, cert)
 
 
+def span_coefficients(f: Polynomial, gens):
+    """{g: q_g} with f = sum_g q_g * g and q_g invariant, over the nonzero
+    gens g of degree below deg f (unused g left out), or None when f is not
+    in their span.  f must be homogeneous and those gens multihomogeneous;
+    each multihomogeneous piece of f is solved against its product rows."""
+    if f.is_zero():
+        return {}
+    if not f.is_homogeneous():
+        raise ValueError("input must be homogeneous")
+    eng = _engine(f.vspec)
+    d = f.total_degree()
+    lower = [_Gen(g.total_degree(), g.multidegree(), g) for g in gens
+             if not g.is_zero() and g.total_degree() < d]
+    qs = {}
+    for md, comp in f.multihomogeneous_components().items():
+        index = eng._chains(md).index
+        parts = eng._span_rows(md, d, lower)
+        rows = np.concatenate([np.zeros((0, index.size), np.int64)] + [r for *_, r in parts])
+        x = solve_mod(rows, index.poly_to_vector(comp), eng.p)
+        if x is None:
+            return None
+        off = 0
+        for g, qmd, inv, prod in parts:
+            coef = x[off : off + prod.shape[0]]
+            off += prod.shape[0]
+            if coef.any():
+                vec = _mm(coef[None, :], inv, eng.p)[0]
+                q = eng._chains(qmd).index.vector_to_poly(vec)
+                qs[g.poly] = qs[g.poly] + q if g.poly in qs else q
+    return qs
+
+
 def is_decomposable_invariant(f: Polynomial, lower_gens=None) -> bool:
     """Is f in the subalgebra generated by invariants of smaller degree?
 
@@ -478,39 +519,20 @@ def is_decomposable_invariant(f: Polynomial, lower_gens=None) -> bool:
         return True
     if not f.is_homogeneous():
         raise ValueError("input must be homogeneous")
-    d = f.total_degree()
-    eng = _engine(f.vspec)
     if lower_gens is None:
-        eng.ensure_algebra(through=d)
-        gens = [g for g in eng._alg.gens if g.degree < d]
-    else:
-        gens = [
-            _Gen(g.total_degree(), g.multidegree(), g)
-            for g in lower_gens
-            if not g.is_zero() and 0 < g.total_degree() < d
-        ]
-    return _components_in_span(eng, f, d, gens)
+        eng = _engine(f.vspec)
+        eng.ensure_algebra(through=f.total_degree())
+        lower_gens = [g.poly for g in eng._alg.gens]
+    # a constant would put all of k[V]^G_d in the span: positive degrees only
+    return span_coefficients(f, [g for g in lower_gens if g.total_degree()]) is not None
 
 
 def is_decomposable_covariant(h) -> bool:
     """Is h in the submodule generated by covariants of smaller degree?"""
     if h.is_zero():
         return True
-    f1 = h.f1
-    if not f1.is_homogeneous():
+    if not h.f1.is_homogeneous():
         raise ValueError("input must be homogeneous")
-    d = f1.total_degree()
-    n = h.n
     eng = _engine(h.vspec)
-    eng.ensure_covariant(n, through=d)
-    gens = [g for g in eng._cov[n].gens if g.degree < d]
-    return _components_in_span(eng, f1, d, gens)
-
-
-def _components_in_span(eng, f, d, gens):
-    for md, comp in f.multihomogeneous_components().items():
-        ech = eng._span_echelon(md, d, gens)
-        vec = eng._chains(md).index.poly_to_vector(comp)
-        if not ech.contains(vec):
-            return False
-    return True
+    eng.ensure_covariant(h.n, through=h.f1.total_degree())
+    return span_coefficients(h.f1, [g.poly for g in eng._cov[h.n].gens]) is not None

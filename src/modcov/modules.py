@@ -13,10 +13,9 @@ conventions are consistent.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .field import FpMatrix, PrimeField
+from .field import PrimeField
 
 
 @dataclass(frozen=True)
@@ -75,67 +74,3 @@ def delta_on_w(w: ModuleSpec, i: int) -> list:
     v = sigma_on_w(w, i)
     v[i - 1] = (v[i - 1] - 1) % w.p
     return v
-
-
-def block_sigma_matrix(w: ModuleSpec) -> FpMatrix:
-    """The matrix of sigma on a single block, columns = images of w_1..w_n."""
-    n = w.blocks[0]
-    m = FpMatrix(w.field, n, n)
-    for i in range(1, n + 1):
-        col = sigma_on_w(w, i)
-        for j in range(n):
-            m[j, i - 1] = col[j]
-    return m
-
-
-def sigma_matrix(w: ModuleSpec) -> FpMatrix:
-    """Block-diagonal matrix of sigma on a (possibly decomposable) module."""
-    d = w.dim
-    m = FpMatrix(w.field, d, d)
-    off = 0
-    for n in w.blocks:
-        blk = block_sigma_matrix(ModuleSpec(w.field, [n]))
-        for r in range(n):
-            for c in range(n):
-                m[off + r, off + c] = blk[r, c]
-        off += n
-    return m
-
-
-def decompose_by_delta_ranks(sigma: FpMatrix) -> Counter:
-    """Jordan block sizes of the module afforded by ``sigma``.
-
-    The number of blocks of size >= k is rank(Delta^(k-1)) - rank(Delta^k)
-    where Delta = sigma - 1.  Raises if sigma does not have order dividing p.
-    """
-    from .field import rref
-
-    fld = sigma.field
-    p = fld.p
-    d = sigma.rows
-    if sigma.cols != d:
-        raise ValueError("sigma must be square")
-    power = sigma.copy()
-    for _ in range(p - 1):
-        power = power.matmul(sigma)
-    if power != FpMatrix.identity(fld, d):
-        raise ValueError("input does not have order dividing p")
-    delta = sigma.copy()
-    for i in range(d):
-        delta[i, i] = delta[i, i] - 1
-    ranks = [d]  # rank of Delta^0
-    m = FpMatrix.identity(fld, d)
-    while True:
-        m = m.matmul(delta)
-        _, _, r = rref(m)
-        ranks.append(r)
-        if r == 0:
-            break
-    # blocks of size exactly k: r_{k-1} - 2 r_k + r_{k+1}
-    ranks.append(0)
-    out = Counter()
-    for k in range(1, len(ranks) - 1):
-        cnt = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
-        if cnt:
-            out[k] = cnt
-    return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .field import FpMatrix, kernel_basis, solve
+from .field import FpMatrix, kernel_basis
 from .modules import ModuleSpec
 
 
@@ -354,13 +354,6 @@ def graded_basis(vspec: ModuleSpec, d=None, multidegree=None) -> list:
     return sorted(mons, key=mon_sort_key)
 
 
-def coefficient_vector(f: Polynomial, basis_index: dict) -> list:
-    v = [0] * len(basis_index)
-    for m, c in f.terms.items():
-        v[basis_index[m]] = c
-    return v
-
-
 def _operator_matrix(vspec: ModuleSpec, mons, op) -> FpMatrix:
     """Matrix (columns = images of basis monomials) of a linear operator on a piece."""
     index = {m: k for k, m in enumerate(mons)}
@@ -385,30 +378,27 @@ def invariant_basis(vspec: ModuleSpec, d: int) -> list:
 def delta_power_preimage(g: Polynomial, k: int):
     """Some f with Delta^k(f) = g, or None if g is not in the image of Delta^k.
 
-    g must be homogeneous; the solve happens on its graded piece with free
-    variables set to 0, so the result is deterministic.
+    Works per multihomogeneous component in the chain basis of its piece
+    (``chains.PieceChains``).  Delta^k maps chain level l + k onto level l,
+    so a component is in the image exactly when it is a combination of the
+    levels below the top k of each chain, and the same combination of the
+    levels k higher is a preimage.
     """
-    if k == 0:
-        return g
-    if g.is_zero():
-        return g
-    if not g.is_homogeneous():
-        raise ValueError("delta_power_preimage requires a homogeneous input")
-    vspec = g.vspec
-    d = g.total_degree()
-    mons = graded_basis(vspec, d)
-    index = {m: i for i, m in enumerate(mons)}
-    mat = _operator_matrix(vspec, mons, lambda f: delta_power(f, k))
-    x = solve(mat, coefficient_vector(g, index))
-    if x is None:
-        return None
-    return Polynomial(vspec, {m: c for m, c in zip(mons, x) if c})
+    import numpy as np
 
+    from .chains import PieceChains
+    from .fastlinalg import matmul_mod, solve_mod
 
-def graded_piece_block_structure(vspec: ModuleSpec, d: int):
-    """Jordan block sizes of k[V]_d as a kG-module (multiset as a Counter)."""
-    from .modules import decompose_by_delta_ranks
-
-    mons = graded_basis(vspec, d)
-    mat = _operator_matrix(vspec, mons, apply_sigma)
-    return decompose_by_delta_ranks(mat)
+    if k < 0:
+        raise ValueError("negative power")
+    vspec, p = g.vspec, g.vspec.p
+    out = Polynomial.zero(vspec)
+    for md, comp in g.multihomogeneous_components().items():
+        pc = PieceChains(vspec, md)
+        low = np.concatenate([c[: max(c.shape[0] - k, 0)] for c in pc.chains])
+        high = np.concatenate([c[k:] for c in pc.chains])
+        x = solve_mod(low, pc.index.poly_to_vector(comp), p)
+        if x is None:
+            return None
+        out = out + pc.index.vector_to_poly(matmul_mod(x[None, :], high, p)[0])
+    return out

@@ -1,0 +1,117 @@
+"""Dense reference oracles that only the tests use.
+
+They write sigma as a full matrix, on W or on a total-degree piece of
+k[V], and eliminate with the pure-Python ``modcov.field``: independent of
+the chain bases and the numpy elimination the package computes with, so
+the tests can cross-check the two.
+"""
+
+from collections import Counter
+
+from modcov.covariants import Covariant
+from modcov.field import FpMatrix, kernel_basis, rref
+from modcov.modules import ModuleSpec, sigma_on_w
+from modcov.poly import Polynomial, _operator_matrix, apply_sigma, graded_basis
+
+
+def block_sigma_matrix(w: ModuleSpec) -> FpMatrix:
+    """The matrix of sigma on a single block, columns = images of w_1..w_n."""
+    n = w.blocks[0]
+    m = FpMatrix(w.field, n, n)
+    for i in range(1, n + 1):
+        col = sigma_on_w(w, i)
+        for j in range(n):
+            m[j, i - 1] = col[j]
+    return m
+
+
+def sigma_matrix(w: ModuleSpec) -> FpMatrix:
+    """Block-diagonal matrix of sigma on a (possibly decomposable) module."""
+    d = w.dim
+    m = FpMatrix(w.field, d, d)
+    off = 0
+    for n in w.blocks:
+        blk = block_sigma_matrix(ModuleSpec(w.field, [n]))
+        for r in range(n):
+            for c in range(n):
+                m[off + r, off + c] = blk[r, c]
+        off += n
+    return m
+
+
+def decompose_by_delta_ranks(sigma: FpMatrix) -> Counter:
+    """Jordan block sizes of the module afforded by ``sigma``.
+
+    The number of blocks of size >= k is rank(Delta^(k-1)) - rank(Delta^k)
+    where Delta = sigma - 1.  Raises if sigma does not have order dividing p.
+    """
+    fld = sigma.field
+    p = fld.p
+    d = sigma.rows
+    if sigma.cols != d:
+        raise ValueError("sigma must be square")
+    power = sigma.copy()
+    for _ in range(p - 1):
+        power = power.matmul(sigma)
+    if power != FpMatrix.identity(fld, d):
+        raise ValueError("input does not have order dividing p")
+    delta = sigma.copy()
+    for i in range(d):
+        delta[i, i] = delta[i, i] - 1
+    ranks = [d]  # rank of Delta^0
+    m = FpMatrix.identity(fld, d)
+    while True:
+        m = m.matmul(delta)
+        _, _, r = rref(m)
+        ranks.append(r)
+        if r == 0:
+            break
+    # blocks of size exactly k: r_{k-1} - 2 r_k + r_{k+1}
+    ranks.append(0)
+    out = Counter()
+    for k in range(1, len(ranks) - 1):
+        cnt = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
+        if cnt:
+            out[k] = cnt
+    return out
+
+
+def graded_piece_block_structure(vspec: ModuleSpec, d: int):
+    """Jordan block sizes of k[V]_d as a kG-module (multiset as a Counter)."""
+    mons = graded_basis(vspec, d)
+    mat = _operator_matrix(vspec, mons, apply_sigma)
+    return decompose_by_delta_ranks(mat)
+
+
+def covariant_basis(vspec: ModuleSpec, wspec: ModuleSpec, d: int) -> list:
+    """Basis of k[V,W]^G in degree d: kernel of (diagonal sigma - 1) on k[V]_d (x) W."""
+    n = wspec.blocks[0]
+    mons = graded_basis(vspec, d)
+    index = {m: k for k, m in enumerate(mons)}
+    dim = len(mons) * n
+    mat = FpMatrix(vspec.field, dim, dim)
+    sig_w = [sigma_on_w(wspec, i) for i in range(1, n + 1)]
+    for col_m, m in enumerate(mons):
+        img = apply_sigma(Polynomial.from_monomial(vspec, m))
+        for i in range(1, n + 1):
+            col = col_m * n + (i - 1)
+            for mm, c in img.terms.items():
+                row_m = index[mm]
+                for l in range(n):
+                    coef = (c * sig_w[i - 1][l]) % vspec.p
+                    if coef:
+                        row = row_m * n + l
+                        mat[row, col] = mat[row, col] + coef
+    # kernel of sigma_diag - 1
+    for k in range(dim):
+        mat[k, k] = mat[k, k] - 1
+    out = []
+    for vec in kernel_basis(mat):
+        comps = [Polynomial.zero(vspec) for _ in range(n)]
+        for flat, c in enumerate(vec):
+            if c:
+                m = mons[flat // n]
+                i = flat % n
+                comps[i] = comps[i] + Polynomial.from_monomial(vspec, m, c)
+        out.append(Covariant(vspec, wspec, comps))
+    return out

@@ -27,11 +27,11 @@ from modcov.poly import (
     _compositions,
     delta,
     delta_power,
-    graded_piece_block_structure,
     invariant_basis,
     is_invariant,
     weight,
 )
+from oracle import graded_piece_block_structure
 
 SPECS = [
     module_spec(2, [2]),

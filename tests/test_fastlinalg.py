@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from modcov import field
-from modcov.fastlinalg import Echelon, asmod, matmul_mod, rref_mod
+from modcov.fastlinalg import Echelon, asmod, matmul_mod, rref_mod, solve_mod
 
 
 def _rand(rng, rows, cols, p):
@@ -83,6 +83,10 @@ def test_rref_origins_are_greedy():
             assert sorted(origins) == expect
 
 
+def _contains(ech, v):
+    return not ech.reduce(np.atleast_2d(v)).any()
+
+
 def test_echelon_membership():
     rng = random.Random(14)
     p = 5
@@ -93,13 +97,13 @@ def test_echelon_membership():
     for _ in range(20):
         coef = _rand(rng, 1, 4, p)
         v = matmul_mod(coef, span_rows, p)[0]
-        assert ech.contains(v)
+        assert _contains(ech, v)
     # vectors outside (if the span is proper) are detected
     if ech.rank < 6:
         found_outside = False
         for _ in range(50):
             v = _rand(rng, 1, 6, p)[0]
-            if not ech.contains(v):
+            if not _contains(ech, v):
                 found_outside = True
         assert found_outside
 
@@ -132,3 +136,28 @@ def test_add_rows_returns_new_rows_by_pivot_column():
     n = 80
     ech = Echelon(3, n)
     assert ech.add_rows(np.eye(n, dtype=np.int64)[::-1]) == list(range(n - 1, -1, -1))
+
+
+def test_solve_mod_matches_oracle():
+    """x @ a = b is the system a^T x = b of ``field.solve``: same answer,
+    free coordinates 0, None on the same inconsistent systems."""
+    rng = random.Random(16)
+    seen = set()
+    for p in (2, 3, 5, 7):
+        for trial in range(30):
+            rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+            if trial == 0:
+                rows, cols = 5, 90  # 90 rows in a^T: the recursive rref runs
+            a = _rand(rng, rows, cols, p)
+            if trial % 2:  # consistent: b is a combination of the rows of a
+                b = matmul_mod(_rand(rng, 1, rows, p), a, p)[0]
+            else:
+                b = _rand(rng, 1, cols, p)[0]
+            x = solve_mod(a, b, p)
+            want = field.solve(_to_fp(a.T, p), [int(v) for v in b])
+            seen.add(want is None)
+            if want is None:
+                assert x is None
+            else:
+                assert [int(v) for v in x] == want
+    assert seen == {True, False}

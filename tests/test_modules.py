@@ -3,15 +3,8 @@ import random
 import pytest
 
 from modcov.field import FpMatrix
-from modcov.modules import (
-    ModuleSpec,
-    block_sigma_matrix,
-    decompose_by_delta_ranks,
-    delta_on_w,
-    module_spec,
-    sigma_matrix,
-    sigma_on_w,
-)
+from modcov.modules import delta_on_w, module_spec, sigma_on_w
+from oracle import block_sigma_matrix, decompose_by_delta_ranks, sigma_matrix
 
 
 def test_module_spec_validation():

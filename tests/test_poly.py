@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from modcov.field import FpMatrix, rref
 from modcov.modules import module_spec
 from modcov.poly import (
     Polynomial,
@@ -12,7 +13,6 @@ from modcov.poly import (
     delta_power_preimage,
     divide_by_norm,
     graded_basis,
-    graded_piece_block_structure,
     invariant_basis,
     is_invariant,
     norm,
@@ -21,6 +21,7 @@ from modcov.poly import (
     var_index,
     weight,
 )
+from oracle import graded_piece_block_structure
 
 SPECS = [
     module_spec(2, [2]),
@@ -165,6 +166,39 @@ def test_delta_power_preimage_round_trip():
             pre = delta_power_preimage(comp, k)
             assert pre is not None
             assert delta_power(pre, k) == comp
+
+
+def test_delta_power_preimage_is_none_exactly_off_the_image():
+    # oracle: g is in the image of Delta^k exactly when appending g to the
+    # images Delta^k(m) of the monomials m of its degrees keeps the rank
+    rng = random.Random(38)
+    seen = set()
+    for trial in range(80):
+        v = rng.choice(SPECS)
+        k = rng.randrange(v.p + 1)
+        g = random_poly(rng, v, max_deg=3)  # usually not homogeneous
+        if trial % 2:
+            g = delta_power(g, k)
+        mons = [m for d in g.homogeneous_components() for m in graded_basis(v, d)]
+        index = {m: i for i, m in enumerate(mons)}
+
+        def row(f):
+            out = [0] * len(mons)
+            for m, c in f.terms.items():
+                out[index[m]] = c
+            return out
+
+        images = [row(delta_power(Polynomial.from_monomial(v, m), k)) for m in mons]
+        rank = rref(FpMatrix.from_rows(v.field, images))[2]
+        with_g = rref(FpMatrix.from_rows(v.field, images + [row(g)]))[2]
+        pre = delta_power_preimage(g, k)
+        seen.add(pre is None)
+        assert (pre is None) == (with_g > rank)
+        if pre is not None:
+            assert delta_power(pre, k) == g
+    assert seen == {True, False}
+    with pytest.raises(ValueError):
+        delta_power_preimage(g, -1)
 
 
 def test_block_structure_dimensions():
