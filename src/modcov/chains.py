@@ -23,23 +23,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fastlinalg import Echelon, _dtype, asmod, matmul_mod, rref_mod
+from .fastlinalg import Echelon, _dtype, asmod, kernel_mod, matmul_mod
 from .modules import ModuleSpec
 from .poly import Polynomial, _compositions
 
 
 # -- nilpotent chain decomposition (dense, small) ----------------------
-
-
-def _kernel_mod(m, p):
-    """Basis (rows) of the right null space of m over F_p."""
-    rows, pivs, _ = rref_mod(m, p)
-    free = np.ones(m.shape[1], dtype=bool)
-    free[pivs] = False
-    out = np.zeros((int(free.sum()), m.shape[1]), dtype=np.int64)
-    out[:, free] = np.eye(out.shape[0], dtype=np.int64)
-    out[:, pivs] = -rows[:, free].T.astype(np.int64)
-    return asmod(out, p)
 
 
 def nilpotent_chains(n_mat, p):
@@ -68,7 +57,7 @@ def nilpotent_chains(n_mat, p):
     bottoms = Echelon(p, dim)
     chains = []
     for k in range(top_len, 0, -1):
-        cands = _kernel_mod(powers[k], p)
+        cands = kernel_mod(powers[k], p)
         new = bottoms.add_rows(matmul_mod(cands, powers[k - 1].T, p))
         if not new:
             continue

@@ -42,10 +42,12 @@ class Covariant:
         self._init(vspec, wspec, comps[0] if comps else Polynomial.zero(vspec))
         if len(comps) > self.n:
             raise ValueError("more components than dim W")
-        for j, g in enumerate(self.components[1:], start=1):
+        chain = self._chain(self.n)
+        for j, g in enumerate(chain[1 : self.n], start=1):
             if g != (comps[j] if j < len(comps) else Polynomial.zero(vspec)):
                 raise ChainError(f"component {j + 1} is not Delta^{j} of component 1")
-        self.validate_chain()
+        if not chain[self.n].is_zero():
+            raise ChainError(f"Delta^{self.n} of component 1 is nonzero")
 
     def _init(self, vspec, wspec, f1):
         if wspec.num_blocks != 1:
@@ -56,13 +58,17 @@ class Covariant:
     def n(self) -> int:
         return self.wspec.blocks[0]
 
+    def _chain(self, k: int) -> list:
+        """[f_1, Delta f_1, ..., Delta^k f_1]."""
+        chain = [self.f1]
+        for _ in range(k):
+            chain.append(delta(chain[-1]))
+        return chain
+
     @property
     def components(self) -> tuple:
         """(f_1, Delta f_1, ..., Delta^(n-1) f_1)."""
-        comps = [self.f1]
-        for _ in range(self.n - 1):
-            comps.append(delta(comps[-1]))
-        return tuple(comps)
+        return tuple(self._chain(self.n - 1))
 
     def is_zero(self) -> bool:
         return self.f1.is_zero()
@@ -143,10 +149,16 @@ def zero_covariant(vspec: ModuleSpec, wspec: ModuleSpec) -> Covariant:
 
 def from_weight_poly(f: Polynomial, wspec: ModuleSpec) -> Covariant:
     """The covariant (f, Delta f, ..., Delta^(n-1) f); requires weight(f) <= n."""
-    n = wspec.blocks[0]
-    if not f.is_zero() and weight(f) > n:
-        raise ValueError(f"weight {weight(f)} exceeds dim W = {n}")
+    _checked_weight(f, wspec)
     return _covariant(f, wspec)
+
+
+def _checked_weight(f: Polynomial, wspec: ModuleSpec) -> int:
+    """weight(f), 0 for f = 0; raises ValueError if it exceeds dim W."""
+    w = 0 if f.is_zero() else weight(f)
+    if w > wspec.blocks[0]:
+        raise ValueError(f"weight {w} exceeds dim W = {wspec.blocks[0]}")
+    return w
 
 
 def to_weight_poly(h: Covariant) -> Polynomial:
@@ -206,8 +218,9 @@ def decompose_by_norm(h: Covariant, j: int):
         )
     q, r = divide_by_norm(h.f1, j)
     h1 = from_weight_poly(q, wspec)
-    h2 = from_weight_poly(r, wspec)
-    u = Polynomial.zero(vspec) if r.is_zero() else transfer_witness(h2)
+    s = _checked_weight(r, wspec)  # support(h2), computed once
+    h2 = _covariant(r, wspec)
+    u = Polynomial.zero(vspec) if r.is_zero() else delta_power_preimage(r, p - s)
     if u is None:
         raise NormDecompositionError(
             "remainder is not a transfer; the freeness guarantee for the "

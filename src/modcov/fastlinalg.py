@@ -2,10 +2,17 @@
 
 All arithmetic is exact: products are taken in float64 and reduced mod p
 afterwards.  Entries are < p, so a dot product over k terms is bounded by
-k*(p-1)^2, which ``matmul_mod`` checks against 2^53.  Heavy work is
-routed through BLAS matmuls; the per-row fallback only ever touches small
-blocks.  ``solve_mod`` answers x @ a = b with one ``rref_mod`` of the
-transposed augmented matrix, free coordinates set to 0.
+k*(p-1)^2, which ``matmul_mod`` checks against 2^53.
+
+Rows are inserted by one step, ``_merge``: reduce them against an rref,
+eliminate what is left, back-reduce the old rows, sort by pivot column.
+``rref_mod`` merges the bottom half of a matrix into the rref of its top
+half, ``Echelon.add_rows`` a batch into a growing basis.  At most
+``_BASE_ROWS`` rows go to ``_rref_base``: whole-row int64 steps, products
+below _BASE_ROWS*(p-1)^2.  A row gets a pivot iff it is independent of the
+rows before it (the row rank profile).  ``solve_mod`` (x @ a = b, free
+coordinates 0) and ``kernel_mod`` (right null space) are one ``rref_mod``
+each; other modules call these, never ``rref_mod``.
 
 Cross-checked against the pure-Python ``field`` module in the test suite.
 """
@@ -46,8 +53,6 @@ def matmul_mod(a, b, p: int):
 
 def _reduce_against(m, rows, pivcols, p):
     """Clear the pivot columns of ``m`` using the rref ``rows``."""
-    if len(pivcols) == 0 or m.shape[0] == 0:
-        return m
     coef = m[:, pivcols]
     if not coef.any():
         return m
@@ -55,39 +60,40 @@ def _reduce_against(m, rows, pivcols, p):
 
 
 def _rref_base(m, p):
-    """Incremental rref of a small block; rows earlier in order win pivots."""
-    m = m.astype(np.int64)
-    rows = []  # list of 1-d arrays, unit pivot, mutually reduced
-    pivs = []
-    keep_orig = []
-    for i in range(m.shape[0]):
-        v = m[i] % p
-        for r, c in zip(rows, pivs):
-            f = v[c]
-            if f:
-                v = (v - f * r) % p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            continue
-        c = nz[0]
-        v = (v * pow(int(v[c]), p - 2, p)) % p
-        for idx in range(len(rows)):
-            f = rows[idx][c]
-            if f:
-                rows[idx] = (rows[idx] - f * v) % p
-        rows.append(v)
-        pivs.append(int(c))
-        keep_orig.append(i)
-    if rows:
-        order = np.argsort(pivs)
-        rr = np.array([rows[i] for i in order], dtype=np.int64)
-        pv = np.array([pivs[i] for i in order], dtype=np.intp)
-        og = [keep_orig[i] for i in order]
-    else:
-        rr = np.zeros((0, m.shape[1]), dtype=np.int64)
-        pv = np.array([], dtype=np.intp)
-        og = []
-    return asmod(rr, p), pv, og
+    """Incremental rref of a small block; rows earlier in order win pivots.
+    The basis rows are mutually reduced, so one product v[pivs] @ basis
+    reduces a row, and its pivot column is cleared where the basis has it."""
+    basis = np.zeros((min(m.shape), m.shape[1]), dtype=np.int64)
+    pivs = np.zeros(basis.shape[0], dtype=np.intp)
+    origs = np.zeros(basis.shape[0], dtype=np.intp)
+    rank = 0
+    for i, v in enumerate(m.astype(np.int64)):
+        v = (v - v[pivs[:rank]] @ basis[:rank]) % p
+        nz = np.flatnonzero(v)
+        if nz.size:
+            c = nz[0]
+            v = v * pow(int(v[c]), p - 2, p) % p
+            hit = np.flatnonzero(basis[:rank, c])
+            basis[hit] = (basis[hit] - np.outer(basis[hit, c], v)) % p
+            basis[rank], pivs[rank], origs[rank] = v, c, i
+            rank += 1
+    order = np.argsort(pivs[:rank])
+    return asmod(basis[order], p), pivs[order], origs[order].tolist()
+
+
+def _merge(rows, pivs, m, p):
+    """Insert the rows of m into the rref (rows, pivs): reduce m against it,
+    eliminate the rest, back-reduce the old rows and sort by pivot column.
+
+    Returns the merged rows and pivots, the origins in m of the new rows in
+    pivot order, and the permutation that sorted [old rows; new rows]."""
+    new, new_pivs, origs = rref_mod(_reduce_against(m, rows, pivs, p), p)
+    if not origs:
+        return rows, pivs, origs, np.arange(len(pivs))
+    rows = np.concatenate([_reduce_against(rows, new, new_pivs, p), new])
+    pivs = np.concatenate([pivs, new_pivs])
+    order = np.argsort(pivs)
+    return rows[order], pivs[order], origs, order
 
 
 def rref_mod(m, p: int):
@@ -102,15 +108,10 @@ def rref_mod(m, p: int):
     if m.shape[0] <= _BASE_ROWS:
         return _rref_base(m, p)
     half = m.shape[0] // 2
-    r1, p1, o1 = rref_mod(m[:half], p)
-    bottom = _reduce_against(m[half:], r1, p1, p)
-    r2, p2, o2 = rref_mod(bottom, p)
-    r1 = _reduce_against(r1, r2, p2, p)
-    rows = np.concatenate([r1, r2], axis=0)
-    pivs = np.concatenate([p1, p2])
-    origs = o1 + [half + i for i in o2]
-    order = np.argsort(pivs)
-    return rows[order], pivs[order], [origs[i] for i in order]
+    top, top_pivs, top_origs = rref_mod(m[:half], p)
+    rows, pivs, new, order = _merge(top, top_pivs, m[half:], p)
+    origs = top_origs + [half + i for i in new]
+    return rows, pivs, [origs[i] for i in order]
 
 
 def solve_mod(a, b, p: int):
@@ -128,12 +129,22 @@ def solve_mod(a, b, p: int):
     return x
 
 
+def kernel_mod(m, p: int):
+    """Basis (rows) of the right null space of m over F_p."""
+    rows, pivs, _ = rref_mod(m, p)
+    free = np.ones(m.shape[1], dtype=bool)
+    free[pivs] = False
+    out = np.zeros((int(free.sum()), m.shape[1]), dtype=np.int64)
+    out[:, free] = np.eye(out.shape[0], dtype=np.int64)
+    out[:, pivs] = -rows[:, free].T.astype(np.int64)
+    return asmod(out, p)
+
+
 class Echelon:
     """A growing rref basis mod p supporting batched row insertion."""
 
     def __init__(self, p: int, ncols: int):
         self.p = p
-        self.ncols = ncols
         self.rows = np.zeros((0, ncols), dtype=_dtype(p))
         self.pivcols = np.array([], dtype=np.intp)
 
@@ -141,26 +152,10 @@ class Echelon:
     def rank(self) -> int:
         return self.rows.shape[0]
 
-    def reduce(self, m):
-        """Reduce rows of m modulo the current span (full reduction)."""
-        m = asmod(m, self.p)
-        return _reduce_against(m, self.rows, self.pivcols, self.p)
-
     def add_rows(self, m):
         """Insert rows; returns the indices of the rows of m that increased
         the rank (each independent of the span and of the earlier rows of
         m), ordered by the pivot column each contributed, not by index."""
         m = asmod(np.atleast_2d(m), self.p)
-        if m.shape[0] == 0:
-            return []
-        red = self.reduce(m)
-        new_rows, new_pivs, new_origs = rref_mod(red, self.p)
-        if new_rows.shape[0] == 0:
-            return []
-        self.rows = _reduce_against(self.rows, new_rows, new_pivs, self.p)
-        self.rows = np.concatenate([self.rows, new_rows], axis=0)
-        self.pivcols = np.concatenate([self.pivcols, new_pivs])
-        order = np.argsort(self.pivcols)
-        self.rows = self.rows[order]
-        self.pivcols = self.pivcols[order]
-        return new_origs
+        self.rows, self.pivcols, new, _ = _merge(self.rows, self.pivcols, m, self.p)
+        return new

@@ -7,6 +7,9 @@ discovery order.  Two versions of the engine that print the same bytes
 compute the same counts, caps, certificates, witnesses and generators.
 
     PYTHONPATH=src python tests/dump_engine.py | sha256sum
+
+``test_generators.py::test_engine_dump_matches_recorded_hash`` compares
+that hash with the recorded one.
 """
 
 from __future__ import annotations
@@ -68,10 +71,15 @@ def dump(p, blocks):
     return out
 
 
-def main() -> int:
+def write_dump(out) -> None:
+    """Write the dump of every case in CASES to the text stream ``out``."""
     for p, blocks in CASES:
-        sys.stdout.write("\n".join(dump(p, blocks)) + "\n")
-        sys.stdout.flush()
+        out.write("\n".join(dump(p, blocks)) + "\n")
+        out.flush()
+
+
+def main() -> int:
+    write_dump(sys.stdout)
     return 0
 
 

@@ -1,6 +1,7 @@
 """The tensor-folded chain bases, cross-checked against the symbolic
 polynomial operators."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -14,12 +15,11 @@ from modcov.chains import (
     PieceIndex,
     _block_delta_chains,
     _block_delta_matrix,
-    _kernel_mod,
     _tensor_templates,
     multiplication_map,
     nilpotent_chains,
 )
-from modcov.fastlinalg import Echelon, _dtype, matmul_mod
+from modcov.fastlinalg import Echelon, _dtype, kernel_mod, matmul_mod
 from modcov.field import FpMatrix, PrimeField, rref
 from modcov.modules import module_spec
 from modcov.poly import (
@@ -122,6 +122,26 @@ def test_tensor_templates_match_green_ring(p):
         for b in range(1, p + 1):
             lengths = sorted(ch.shape[0] for ch in _tensor_templates(p, a, b))
             assert lengths == _green_ring(p, a, b), (a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_piece_block_lengths_match_green_ring(p):
+    # the per-block Jordan types folded through V_a (x) V_b by the rule
+    # above, not by _tensor_templates, give the Jordan type of the piece
+    sizes = sorted({1, 2, 3, p} & set(range(1, p + 1)))
+    for m in (1, 2, 3):
+        for blocks in itertools.combinations_with_replacement(sizes, m):
+            v = module_spec(p, list(blocks))
+            for d in range(6):
+                for md in _compositions(d, m):
+                    dims = [math.comb(k + n - 1, n - 1) for n, k in zip(blocks, md)]
+                    if math.prod(dims) > 200:
+                        continue
+                    folded = [1]
+                    for n, k in zip(blocks, md):
+                        block = [c.shape[0] for c in _block_delta_chains(p, n, k)[1]]
+                        folded = [c for a in folded for b in block for c in _green_ring(p, a, b)]
+                    assert sorted(folded, reverse=True) == PieceChains(v, md).block_lengths()
 
 
 def test_piece_index_round_trip():
@@ -266,7 +286,7 @@ def _chains_by_kernel_levels(n_mat, p):
     while powers[-1].any():
         powers.append(matmul_mod(powers[-1], n_mat, p).astype(np.int64))
     kernels = [np.zeros((0, dim), dtype=np.int64)]
-    kernels += [_kernel_mod(powers[k], p) for k in range(1, len(powers))]
+    kernels += [kernel_mod(powers[k], p) for k in range(1, len(powers))]
     chains = []
     for k in range(len(powers) - 1, 0, -1):
         ech = Echelon(p, dim)

@@ -306,6 +306,38 @@ def test_decompose_exit_codes(case, tmp_path, capsys):
     capsys.readouterr()
 
 
+@st.composite
+def _sweep_argv(draw):
+    """sweep argv without --out.  Half the draws are well formed (primes 2
+    and 3, up to two blocks of size 2, W sizes 1..3, a budget of none, 1 or
+    10), so cases run; the other half draw p from {2, 3, 4, x}, the block
+    limits from -1..2, W lists from valid and malformed values and any
+    budget in {none, -1, 0, 1, 10}."""
+    ok = draw(st.booleans())
+    primes = ["2", "3"] if ok else ["2", "3", "4", "x"]
+    p = ",".join(draw(st.lists(st.sampled_from(primes), min_size=1, max_size=3)))
+    blocks = draw(st.integers(1, 2) if ok else st.integers(-1, 2))
+    size = draw(st.just(2) if ok else st.integers(-1, 2))
+    sizes = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+        lambda ns: ",".join(map(str, ns))
+    )
+    w = draw(sizes if ok else _BLOCKS)
+    budget = draw(st.sampled_from([None, 1, 10] if ok else [None, -1, 0, 1, 10]))
+    argv = ["sweep", "--p", p, "--max-blocks", str(blocks), "--max-block-size", str(size),
+            "--w", w]
+    return argv + ([] if budget is None else ["--max-piece-dim", str(budget)])
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_sweep_argv())
+def test_sweep_exit_codes(argv, tmp_path, capsys):
+    # valid and malformed primes, block limits, W lists and piece budgets:
+    # 0 or 2, never 1 (a formula/computation mismatch) and never a traceback
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) in (0, 2)
+    capsys.readouterr()
+
+
 _SWEEP = ["sweep", "--max-blocks", "1", "--max-block-size", "2"]
 
 

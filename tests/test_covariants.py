@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from modcov import poly
 from modcov.covariants import (
     ChainError,
     Covariant,
@@ -16,6 +17,7 @@ from modcov.covariants import (
 from modcov.modules import module_spec
 from modcov.poly import (
     Polynomial,
+    apply_sigma,
     delta,
     delta_power,
     divide_by_norm,
@@ -68,6 +70,17 @@ def test_constructor_zero_pads_and_names_the_broken_link():
         Covariant(V3, W2, [x1, delta(x1)])
     with pytest.raises(ValueError, match="more components"):
         Covariant(V3, W2, [q, q - q, q - q])
+
+
+def test_constructor_derives_the_chain_once(monkeypatch):
+    # n - 1 Deltas check components 2..n and one more checks Delta^n = 0:
+    # n applications of sigma in all, not 2n - 1
+    x1 = Polynomial.variable(V3, 1, 1)  # weight 3
+    comps = [x1, delta(x1), delta_power(x1, 2)]
+    calls = []
+    monkeypatch.setattr(poly, "apply_sigma", lambda f: calls.append(f) or apply_sigma(f))
+    Covariant(V3, W3, comps)
+    assert len(calls) == 3
 
 
 def test_weight_poly_round_trips():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from modcov import field
-from modcov.fastlinalg import Echelon, asmod, matmul_mod, rref_mod, solve_mod
+from modcov.fastlinalg import Echelon, _reduce_against, asmod, matmul_mod, rref_mod, solve_mod
 
 
 def _rand(rng, rows, cols, p):
@@ -44,7 +44,7 @@ def test_matmul_mod_refuses_inexact_products():
 
 def test_rref_mod_matches_oracle():
     rng = random.Random(11)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7, 32749):
         for _ in range(20):
             m = _rand(rng, rng.randrange(1, 10), rng.randrange(1, 10), p)
             rows, pivs, origins = rref_mod(m, p)
@@ -60,18 +60,18 @@ def test_rref_mod_large_hits_recursion():
     # more rows than the base-case threshold, so the divide-and-conquer
     # path runs; rank and rref must still agree with the oracle
     rng = random.Random(12)
-    p = 3
-    m = _rand(rng, 150, 12, p)
-    rows, pivs, origins = rref_mod(m, p)
-    R, opivs, rank = field.rref(_to_fp(m, p))
-    assert list(pivs) == opivs
-    assert [[int(x) for x in row] for row in rows] == [R.row(r) for r in range(rank)]
+    for p in (2, 3, 5, 7, 32749):
+        m = _rand(rng, 150, 12, p)
+        rows, pivs, origins = rref_mod(m, p)
+        R, opivs, rank = field.rref(_to_fp(m, p))
+        assert list(pivs) == opivs
+        assert [[int(x) for x in row] for row in rows] == [R.row(r) for r in range(rank)]
 
 
 def test_rref_origins_are_greedy():
     """Row i is a pivot origin exactly when it is independent of rows < i."""
     rng = random.Random(13)
-    for p in (2, 5):
+    for p in (2, 5, 7, 32749):
         for _ in range(10):
             m = _rand(rng, rng.randrange(2, 90), rng.randrange(1, 7), p)
             _, _, origins = rref_mod(m, p)
@@ -84,7 +84,8 @@ def test_rref_origins_are_greedy():
 
 
 def _contains(ech, v):
-    return not ech.reduce(np.atleast_2d(v)).any()
+    v = asmod(np.atleast_2d(v), ech.p)
+    return not _reduce_against(v, ech.rows, ech.pivcols, ech.p).any()
 
 
 def test_echelon_membership():

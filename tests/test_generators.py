@@ -1,5 +1,7 @@
 """Minimal generator degrees: known small cases and internal consistency."""
 
+import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -8,7 +10,9 @@ from itertools import combinations
 
 import pytest
 
+import dump_engine
 import modcov
+from modcov import generators
 from modcov.covariants import from_weight_poly
 from modcov.formulas import beta_invariants_formula, coinvariant_top_degree_bound
 from modcov.generators import (
@@ -270,3 +274,16 @@ def test_gamma_and_covariant_beta_leave_numpy_ma_unimported():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# sha256 of ``python tests/dump_engine.py``: its counts, caps, certificates,
+# witnesses and generators in discovery order
+DUMP_SHA256 = "f672e525b398f5f59b885cecfd20e2f09033f44d51282912f36be95089f1eb62"
+
+
+def test_engine_dump_matches_recorded_hash(monkeypatch):
+    # a new engine for the first case, as in a fresh interpreter
+    monkeypatch.setattr(generators, "_engine_slot", [None])
+    out = io.StringIO()
+    dump_engine.write_dump(out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DUMP_SHA256
