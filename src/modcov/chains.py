@@ -134,8 +134,8 @@ def _block_delta_matrix(p: int, n: int, d: int):
 
 @lru_cache(maxsize=None)
 def _block_delta_chains(p: int, n: int, d: int):
-    """(BlockPiece, chains) for Delta acting on Sym^d of an n-dim block."""
-    return BlockPiece(n, d), nilpotent_chains(_block_delta_matrix(p, n, d), p)
+    """Chains of Delta acting on Sym^d of an n-dim block (BlockPiece order)."""
+    return nilpotent_chains(_block_delta_matrix(p, n, d), p)
 
 
 @lru_cache(maxsize=None)
@@ -220,41 +220,37 @@ class PieceIndex:
 
 
 class PieceChains:
-    """Chain basis of a multidegree piece, built by folding tensor factors."""
+    """Chain basis of a multidegree piece, built by folding tensor factors.
+
+    ``rows`` holds the chains one after another, each bottom first, as
+    residues mod p.  Per row, ``level`` is its level in its chain (0 at
+    the bottom: an invariant) and ``above`` how many levels of that chain
+    lie above it.  Delta maps a row of level k > 0 to the row before it,
+    so the rows of level < k span { f : Delta^k f = 0 }.
+    """
 
     def __init__(self, vspec: ModuleSpec, multidegree):
         self.index = PieceIndex(vspec, multidegree)
         p = vspec.p
         chains = None
         for n, d in zip(vspec.blocks, multidegree):
-            _, blk = _block_delta_chains(p, n, d)
-            if chains is None:
-                chains = [asmod(c, p) for c in blk]
-            else:
-                chains = _fold_tensor(chains, blk, p)
-        self.chains = chains if chains is not None else []
-        assert sum(c.shape[0] for c in self.chains) == self.index.size
+            blk = _block_delta_chains(p, n, d)
+            chains = blk if chains is None else _fold_tensor(chains, blk, p)
+        self.rows = asmod(np.concatenate(chains), p)
+        lengths = np.array([c.shape[0] for c in chains])
+        self.level = np.arange(self.index.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        self.above = np.repeat(lengths, lengths) - 1 - self.level
+        assert self.rows.shape[0] == self.index.size
 
     def block_lengths(self):
-        return sorted((c.shape[0] for c in self.chains), reverse=True)
-
-    def invariant_matrix(self):
-        """Rows: a basis of the invariants of the piece (chain bottoms)."""
-        if not self.chains:
-            return np.zeros((0, self.index.size), dtype=np.int64)
-        return np.array([c[0] for c in self.chains], dtype=np.int64)
+        return sorted((self.above[self.level == 0] + 1).tolist(), reverse=True)
 
     def weight_le_matrix(self, k: int):
         """Rows: a basis of { f : Delta^k f = 0 } (bottom k chain levels)."""
-        rows = []
-        for c in self.chains:
-            rows.extend(c[: min(k, c.shape[0])])
-        if not rows:
-            return np.zeros((0, self.index.size), dtype=np.int64)
-        return np.array(rows, dtype=np.int64)
+        return self.rows[self.level < k]
 
     def dim_weight_le(self, k: int) -> int:
-        return sum(min(k, c.shape[0]) for c in self.chains)
+        return int(np.count_nonzero(self.level < k))
 
 
 def _fold_tensor(left_chains, right_chains, p):

@@ -155,15 +155,13 @@ def cmd_beta(args) -> int:
 def _max_piece_dim(p, v_blocks):
     """Largest multidegree piece dimension the case can touch (at the
     certified cap), used for the prospective dimension budget."""
-    vred = [n for n in v_blocks if n > 1]
-    if not vred:
+    vred, _ = formulas.reduce_V(_vspec(p, v_blocks))
+    if not vred.blocks:
         return 1
-    m = len(vred)
-    dim = sum(vred)
-    gamma_bound = formulas.coinvariant_top_degree_bound(_vspec(p, vred))
-    cap = max(p, m * p - dim, gamma_bound)
+    m = vred.num_blocks
+    cap = max(p, m * p - vred.dim, formulas.coinvariant_top_degree_bound(vred))
     return max(
-        math.prod(math.comb(d + n - 1, n - 1) for d, n in zip(combo, vred))
+        math.prod(math.comb(d + n - 1, n - 1) for d, n in zip(combo, vred.blocks))
         for combo in _compositions(cap, m)
     )
 

@@ -25,10 +25,11 @@ fed to the rank computations small.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .chains import PieceChains, multiplication_map
+from . import chains, formulas
 from .fastlinalg import Echelon, asmod, solve_mod
 from .fastlinalg import matmul_mod as _mm
 from .modules import ModuleSpec
@@ -114,7 +115,6 @@ class GradedEngine:
         self.p = vspec.p
         self.m = vspec.num_blocks
         self._pieces = {}  # multidegree -> PieceChains
-        self._inv = {}  # multidegree -> invariant row matrix
         self._canon = {}  # multidegree -> (canonical md, block permutation)
         # algebra generators and k[V] over A (the coinvariants), extended
         # together degree by degree; covariant modules k[V,V_n]^G by n
@@ -151,15 +151,10 @@ class GradedEngine:
         self._canon[md] = result
         return result
 
-    def _chains(self, md) -> PieceChains:
+    def _chains(self, md) -> chains.PieceChains:
         if md not in self._pieces:
-            self._pieces[md] = PieceChains(self.vspec, md)
+            self._pieces[md] = chains.PieceChains(self.vspec, md)
         return self._pieces[md]
-
-    def _inv_rows(self, md):
-        if md not in self._inv:
-            self._inv[md] = self._chains(md).invariant_matrix()
-        return self._inv[md]
 
     def _monomials(self, index, skip):
         """Monomials of a piece at the columns where the mask skip is False."""
@@ -183,13 +178,11 @@ class GradedEngine:
             qmd = tuple(a - b for a, b in zip(md, g.multidegree))
             if any(q < 0 for q in qmd):
                 continue
-            inv = self._inv_rows(qmd)
-            if inv.shape[0] == 0:
-                continue
+            inv = self._chains(qmd).weight_le_matrix(1)
             if g.degree == 0:  # a nonzero constant c: the products are c * inv
-                prod = inv * next(iter(g.poly.terms.values())) % self.p
+                prod = inv.astype(np.int64) * next(iter(g.poly.terms.values())) % self.p
             else:
-                mult = multiplication_map(g.poly, self._chains(qmd).index, target)
+                mult = chains.multiplication_map(g.poly, self._chains(qmd).index, target)
                 prod = _mm(inv, mult.T, self.p)
             out.append((g, qmd, inv, prod))
         return out
@@ -253,7 +246,7 @@ class GradedEngine:
                 shifted = qidx.exponents() + np.array(mon, dtype=np.int64)
                 marked[target.rank(shifted)] = True
             else:
-                mult = multiplication_map(g.poly, qidx, target)
+                mult = chains.multiplication_map(g.poly, qidx, target)
                 batches.append(mult.T)
         ech = Echelon(self.p, c)
         if batches:
@@ -286,8 +279,6 @@ class GradedEngine:
         """
         pc = self._chains(md)
         dim_m = pc.dim_weight_le(n)
-        if dim_m == 0:
-            return []
         ech = self._span_echelon(md, d, gens)
         rank = ech.rank
         assert rank <= dim_m
@@ -308,12 +299,7 @@ class GradedEngine:
     def _gamma_bound(self) -> int:
         """Certified upper bound for gamma from the block profile of the
         reduced part of V (trivial blocks do not change the coinvariants)."""
-        from .formulas import coinvariant_top_degree_bound
-
-        kept = [n for n in self.vspec.blocks if n > 1]
-        if not kept:
-            return 0
-        return coinvariant_top_degree_bound(ModuleSpec(self.vspec.field, kept))
+        return formulas.coinvariant_top_degree_bound(formulas.reduce_V(self.vspec)[0])
 
     def ensure_algebra(self, through=None):
         """Advance the algebra/coinvariant computation far enough that the
@@ -376,17 +362,11 @@ class GradedEngine:
             self._step(obj, d, lambda md: self._covariant_piece(md, d, n, obj.gens))
 
 
-_engine_slot = [None]
-
-
+@lru_cache(maxsize=1)
 def _engine(vspec: ModuleSpec) -> GradedEngine:
     """Single-slot engine cache: chain bases are large, so only the engine
     for the most recent V is retained (sweeps iterate W innermost)."""
-    eng = _engine_slot[0]
-    if eng is None or eng.vspec != vspec:
-        eng = GradedEngine(vspec)
-        _engine_slot[0] = eng
-    return eng
+    return GradedEngine(vspec)
 
 
 def _report(target, obj: _Graded, cap, certificate):

@@ -384,9 +384,7 @@ def delta_power_preimage(g: Polynomial, k: int):
     levels below the top k of each chain, and the same combination of the
     levels k higher is a preimage.
     """
-    import numpy as np
-
-    from .chains import PieceChains
+    from . import chains
     from .fastlinalg import matmul_mod, solve_mod
 
     if k < 0:
@@ -394,9 +392,8 @@ def delta_power_preimage(g: Polynomial, k: int):
     vspec, p = g.vspec, g.vspec.p
     out = Polynomial.zero(vspec)
     for md, comp in g.multihomogeneous_components().items():
-        pc = PieceChains(vspec, md)
-        low = np.concatenate([c[: max(c.shape[0] - k, 0)] for c in pc.chains])
-        high = np.concatenate([c[k:] for c in pc.chains])
+        pc = chains.PieceChains(vspec, md)
+        low, high = pc.rows[pc.above >= k], pc.rows[pc.level >= k]
         x = solve_mod(low, pc.index.poly_to_vector(comp), p)
         if x is None:
             return None

@@ -139,9 +139,12 @@ def test_piece_block_lengths_match_green_ring(p):
                         continue
                     folded = [1]
                     for n, k in zip(blocks, md):
-                        block = [c.shape[0] for c in _block_delta_chains(p, n, k)[1]]
+                        block = [c.shape[0] for c in _block_delta_chains(p, n, k)]
                         folded = [c for a in folded for b in block for c in _green_ring(p, a, b)]
-                    assert sorted(folded, reverse=True) == PieceChains(v, md).block_lengths()
+                    pc = PieceChains(v, md)
+                    assert sorted(folded, reverse=True) == pc.block_lengths()
+                    for k in range(1, p + 1):
+                        assert pc.dim_weight_le(k) == sum(min(k, a) for a in folded)
 
 
 def test_piece_index_round_trip():
@@ -161,11 +164,14 @@ def test_chain_vectors_satisfy_delta_chain():
         for d in range(4):
             for md in _compositions(d, v.num_blocks):
                 pc = PieceChains(v, md)
-                for ch in pc.chains:
-                    polys = [pc.index.vector_to_poly(row) for row in ch]
-                    assert delta(polys[0]).is_zero()
-                    for k in range(1, len(polys)):
-                        assert delta(polys[k]) == polys[k - 1]
+                polys = [pc.index.vector_to_poly(row) for row in pc.rows]
+                for i, f in enumerate(polys):
+                    if pc.level[i] == 0:
+                        assert delta(f).is_zero()
+                    else:
+                        assert delta(f) == polys[i - 1]
+                        assert pc.level[i - 1] == pc.level[i] - 1
+                        assert pc.above[i - 1] == pc.above[i] + 1
 
 
 def test_invariant_matrix_matches_invariant_basis_dim():
@@ -174,7 +180,7 @@ def test_invariant_matrix_matches_invariant_basis_dim():
             total = 0
             for md in _compositions(d, v.num_blocks):
                 pc = PieceChains(v, md)
-                inv = pc.invariant_matrix()
+                inv = pc.weight_le_matrix(1)
                 total += inv.shape[0]
                 for row in inv:
                     assert is_invariant(pc.index.vector_to_poly(row))
@@ -271,7 +277,7 @@ def test_block_delta_matrix_matches_reference():
 
 def test_block_chain_lengths_match_delta_ranks():
     for p, n, d in BLOCK_PIECES:
-        _, chains = _block_delta_chains(p, n, d)
+        chains = _block_delta_chains(p, n, d)
         expected = _jordan_type_from_ranks(_block_delta_reference(p, n, d), p)
         assert sorted(c.shape[0] for c in chains) == expected, (p, n, d)
 

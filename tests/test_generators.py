@@ -3,17 +3,21 @@
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import dump_engine
 import modcov
 from modcov import generators
+from modcov.chains import PieceChains
 from modcov.covariants import from_weight_poly
+from modcov.fastlinalg import matmul_mod
 from modcov.formulas import beta_invariants_formula, coinvariant_top_degree_bound
 from modcov.generators import (
     GradedEngine,
@@ -26,6 +30,7 @@ from modcov.generators import (
     is_decomposable_invariant,
     module_generators,
     polynomial_module_beta,
+    span_coefficients,
 )
 from modcov.modules import module_spec
 from modcov.poly import (
@@ -183,6 +188,23 @@ def test_is_decomposable_invariant_with_supplied_generators():
     assert not is_decomposable_invariant(n1, lower_gens=[x2])
 
 
+def test_span_coefficients_constant_generator():
+    # a constant generator c spans c * (the invariants of the piece); at
+    # p = 101 and c = 100 the products leave the int8 residue range
+    rng = random.Random(71)
+    for v in (module_spec(101, [3]), module_spec(101, [2, 2])):
+        for d in (1, 2, 3):
+            pc = PieceChains(v, rng.choice(list(_compositions(d, v.num_blocks))))
+            inv = pc.weight_le_matrix(1)
+            coef = np.array([[rng.randrange(1, v.p) for _ in range(inv.shape[0])]])
+            f = pc.index.vector_to_poly(matmul_mod(coef, inv, v.p)[0])
+            for c in (1, 2, 100):
+                const = Polynomial.constant(v, c)
+                qs = span_coefficients(f, [const])
+                assert list(qs) == [const]
+                assert const * qs[const] == f
+
+
 def test_is_decomposable_covariant():
     v = module_spec(3, [2])
     w = module_spec(3, [2])
@@ -281,9 +303,9 @@ def test_gamma_and_covariant_beta_leave_numpy_ma_unimported():
 DUMP_SHA256 = "f672e525b398f5f59b885cecfd20e2f09033f44d51282912f36be95089f1eb62"
 
 
-def test_engine_dump_matches_recorded_hash(monkeypatch):
+def test_engine_dump_matches_recorded_hash():
     # a new engine for the first case, as in a fresh interpreter
-    monkeypatch.setattr(generators, "_engine_slot", [None])
+    generators._engine.cache_clear()
     out = io.StringIO()
     dump_engine.write_dump(out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DUMP_SHA256
