@@ -5,8 +5,8 @@ piece of k[V] is the tensor product of symmetric powers of the duals of
 the individual Jordan blocks.  Chains are therefore built structurally:
 
   * a symmetric power of a single block is small (its dimension is a
-    binomial coefficient in the block size); its Delta matrix is built
-    from the one a degree lower, and its chains come from a direct
+    binomial coefficient in the block size); its Delta matrix comes from
+    one ``poly.sigma_terms`` call, and its chains from a direct
     nilpotent-chain computation on that matrix;
   * the chain type of a tensor product of two chains of lengths a and b
     depends only on (p, a, b), so a chain basis of V_a (x) V_b is computed
@@ -24,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fastlinalg import Echelon, _dtype, asmod, kernel_mod, matmul_mod
-from .modules import ModuleSpec
-from .poly import Polynomial, _compositions
+from .modules import ModuleSpec, module_spec
+from .poly import Polynomial, _compositions, sigma_terms
 
 
 # -- nilpotent chain decomposition (dense, small) ----------------------
@@ -106,29 +106,13 @@ class BlockPiece:
 
 @lru_cache(maxsize=None)
 def _block_delta_matrix(p: int, n: int, d: int):
-    """Delta on Sym^d of an n-dim block, in the monomial order of BlockPiece.
-
-    Built from degree d - 1: every monomial is x_j f with x_j its first
-    variable, and Delta(x_j f) = x_j Delta f + x_{j+1} sigma f, where
-    sigma f = f + Delta f and x_{n+1} = 0.
-    """
+    """Delta on Sym^d of an n-dim block, in the monomial order of BlockPiece:
+    sigma of every monomial at once, each tagged with its index, minus 1."""
     piece = BlockPiece(n, d)
-    out = np.zeros((piece.size, piece.size), dtype=np.int64)
-    if d == 0:
-        return asmod(out, p)
-    prev = BlockPiece(n, d - 1)
-    dprev = _block_delta_matrix(p, n, d - 1).astype(np.int64)
-    sprev = dprev + np.eye(prev.size, dtype=np.int64)
-    unit = np.eye(n, dtype=np.int64)
-    # times[j][i]: index in piece of x_j times monomial i of prev
-    times = [piece.rank(prev.exps + unit[j]) for j in range(n)]
-    first = np.where(prev.exps.any(axis=1), np.argmax(prev.exps > 0, axis=1), n)
-    for j in range(n):
-        src = first >= j  # the f for which x_j is the first variable of x_j f
-        cols = times[j][src]
-        out[np.ix_(times[j], cols)] += dprev[:, src]
-        if j + 1 < n:
-            out[np.ix_(times[j + 1], cols)] += sprev[:, src]
+    ids = np.arange(piece.size)
+    exps, coefs, src = sigma_terms(module_spec(p, [n]), piece.exps, np.ones_like(ids), ids)
+    out = -np.eye(piece.size, dtype=np.int64)
+    out[piece.rank(exps), src] += coefs
     return asmod(out, p)
 
 

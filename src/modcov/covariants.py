@@ -244,8 +244,9 @@ def decompose_transfer_covariant(h: Covariant, module_gens, witness=None, gamma=
     d = h.total_degree()
     if gamma is not None and d <= gamma:
         raise ValueError(f"degree {d} is not above gamma = {gamma}")
+    wspec, s = h.wspec, h.support()
     if witness is None:
-        witness = transfer_witness(h)
+        witness = delta_power_preimage(h.f1, h.vspec.p - s)  # as transfer_witness
         if witness is None:
             raise ValueError("h is not a transfer covariant")
     qs = span_coefficients(witness, module_gens)
@@ -254,7 +255,6 @@ def decompose_transfer_covariant(h: Covariant, module_gens, witness=None, gamma=
             "witness could not be expressed over module_gens; "
             "generators are incomplete or degree <= gamma"
         )
-    wspec, s = h.wspec, h.support()
     pairs = []
     recon = zero_covariant(h.vspec, wspec)
     for g, q in qs.items():

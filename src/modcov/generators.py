@@ -239,31 +239,24 @@ class GradedEngine:
             qmd = tuple(a - b for a, b in zip(md, g.multidegree))
             if any(q < 0 for q in qmd):
                 continue
-            qidx = self._chains(qmd).index
-            if len(g.poly.terms) == 1:
-                # monomial generator: its multiples are monomials
-                (mon,) = g.poly.terms
-                shifted = qidx.exponents() + np.array(mon, dtype=np.int64)
-                marked[target.rank(shifted)] = True
-            else:
-                mult = chains.multiplication_map(g.poly, qidx, target)
-                batches.append(mult.T)
-        ech = Echelon(self.p, c)
-        if batches:
-            rows = asmod(np.concatenate(batches, axis=0), self.p)
-            # iterated singleton elimination: a row with a single
-            # nonzero entry puts that unit vector in the span, so its
-            # column can be cleared from every other row
-            while True:
-                rows[:, marked] = 0
-                nnz = np.count_nonzero(rows, axis=1)
-                singles = np.nonzero(nnz == 1)[0]
-                if singles.size == 0:
-                    rows = rows[nnz > 1]
-                    break
-                marked[(rows[singles] != 0).argmax(axis=1)] = True
+            mult = chains.multiplication_map(g.poly, self._chains(qmd).index, target)
+            batches.append(mult.T)
+        # d >= 1: a degree-1 generator x_{n_j,j} fits in md, so batches is not empty
+        rows = asmod(np.concatenate(batches, axis=0), self.p)
+        # iterated singleton elimination: a row with a single
+        # nonzero entry puts that unit vector in the span, so its
+        # column can be cleared from every other row
+        while True:
+            rows[:, marked] = 0
+            nnz = np.count_nonzero(rows, axis=1)
+            singles = np.nonzero(nnz == 1)[0]
+            if singles.size == 0:
                 rows = rows[nnz > 1]
-            ech.add_rows(rows)
+                break
+            marked[(rows[singles] != 0).argmax(axis=1)] = True
+            rows = rows[nnz > 1]
+        ech = Echelon(self.p, c)
+        ech.add_rows(rows)
         count = c - int(marked.sum()) - ech.rank
         marked[ech.pivcols] = True
         polys = self._monomials(target, marked)

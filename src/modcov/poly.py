@@ -6,7 +6,8 @@ within that block.  The generator sigma acts by
     sigma(x_{i,j}) = x_{i,j} + x_{i+1,j}   (i < n_j),
     sigma(x_{n_j,j}) = x_{n_j,j},
 
-which preserves total degree and the per-block multidegree.  Polynomials
+which preserves total degree and the per-block multidegree; ``sigma_terms``
+alone applies it, for ``apply_sigma`` and for the chain layer.  Polynomials
 are sparse: a dict from exponent tuples (one slot per variable, block-major
 row-minor order) to nonzero residues mod p.
 """
@@ -14,7 +15,8 @@ row-minor order) to nonzero residues mod p.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+
+import numpy as np
 
 from .field import FpMatrix, kernel_basis
 from .modules import ModuleSpec
@@ -195,38 +197,57 @@ def mon_sort_key(mon):
 # -- the action -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _sigma_var_image(vspec: ModuleSpec, i: int, j: int, e: int) -> Polynomial:
-    """sigma(x_{i,j}^e), expanded."""
-    n = vspec.blocks[j - 1]
-    if i == n:
-        return Polynomial.variable(vspec, i, j, e)
-    img = Polynomial.variable(vspec, i, j) + Polynomial.variable(vspec, i + 1, j)
-    out = Polynomial.constant(vspec, 1)
-    base = img
-    # binary powering keeps intermediate blowup down for large e
-    while e:
-        if e & 1:
-            out = out * base
-        e >>= 1
-        if e:
-            base = base * base
+def _binom_mod(e, k, p: int):
+    """C(e, k) mod p for arrays 0 <= k <= e, digit by digit (Lucas' theorem)."""
+    fact = [1]
+    for i in range(1, min(p, int(e.max(initial=0)) + 1)):  # the digits that occur
+        fact.append(fact[-1] * i % p)
+    fact, inv = np.array(fact), np.array([pow(f, p - 2, p) for f in fact])
+    out = np.ones_like(e)
+    while e.any():
+        ed, kd = e % p, k % p
+        digit = fact[ed] * inv[kd] % p * inv[np.maximum(ed - kd, 0)] % p
+        out = np.where(kd <= ed, out * digit % p, 0)
+        e, k = e // p, k // p
     return out
+
+
+def sigma_terms(vspec: ModuleSpec, exps, coefs, src):
+    """sigma of the terms coefs[t] * x^exps[t], each image term tagged src[t].
+
+    The one place where sigma(x_{i,j}) = x_{i,j} + x_{i+1,j} is applied:
+    one variable at a time, each block from its bottom row up, so the
+    x_{i+1,j} a step adds is already final.  Equal (src, exponent) rows
+    are merged after every step.  ``exps`` is int64, shape (terms, dim V);
+    input and output (src, exponent) rows are distinct.
+    """
+    p = vspec.p
+    terms = np.column_stack([src, exps])  # column off + i: exponent of x_{i,j}
+    for off, n in zip(itertools.accumulate(vspec.blocks, initial=0), vspec.blocks):
+        for c in range(off + n - 1, off, -1):  # x_{n,j}, in column off + n, is fixed
+            # x^e -> sum over k of C(e, k) x^(e-k) y^k, with y the next variable
+            e = terms[:, c]
+            rows = np.repeat(np.arange(e.size), e + 1)
+            k = np.arange(rows.size) - np.repeat(np.cumsum(e + 1) - (e + 1), e + 1)
+            coefs = coefs[rows] * _binom_mod(e[rows], k, p) % p
+            nz = coefs != 0
+            terms, k, coefs = terms[rows[nz]], k[nz], coefs[nz]
+            terms[:, c] -= k
+            terms[:, c + 1] += k
+            order = np.lexsort(terms.T[::-1])
+            terms, coefs = terms[order], coefs[order]
+            starts = np.flatnonzero(np.diff(terms, axis=0, prepend=-1).any(axis=1))
+            sums = np.add.reduceat(coefs, starts) % p
+            terms, coefs = terms[starts[sums != 0]], sums[sums != 0]
+    return terms[:, 1:], coefs, terms[:, 0]
 
 
 def apply_sigma(f: Polynomial) -> Polynomial:
-    """The ring automorphism sigma applied to f."""
-    vspec = f.vspec
-    vars_ = variables(vspec)
-    out = Polynomial.zero(vspec)
-    for mon, c in f.terms.items():
-        term = Polynomial.constant(vspec, c)
-        for idx, e in enumerate(mon):
-            if e:
-                i, j = vars_[idx]
-                term = term * _sigma_var_image(vspec, i, j, e)
-        out = out + term
-    return out
+    """The ring automorphism sigma applied to f, through ``sigma_terms``."""
+    exps = np.array(list(f.terms), dtype=np.int64).reshape(len(f.terms), f.vspec.dim)
+    coefs = np.array(list(f.terms.values()), dtype=np.int64)
+    exps, coefs, _ = sigma_terms(f.vspec, exps, coefs, np.zeros(coefs.size, dtype=np.int64))
+    return Polynomial(f.vspec, dict(zip(map(tuple, exps.tolist()), coefs.tolist())))
 
 
 def delta(f: Polynomial) -> Polynomial:
@@ -247,16 +268,6 @@ def delta_power(f: Polynomial, k: int) -> Polynomial:
 def transfer(f: Polynomial) -> Polynomial:
     """The transfer Tr = Delta^(p-1)."""
     return delta_power(f, f.vspec.p - 1)
-
-
-def orbit_sum(f: Polynomial) -> Polynomial:
-    """Sum of sigma^i(f) over i = 0..p-1; agrees with ``transfer``."""
-    out = Polynomial.zero(f.vspec)
-    g = f
-    for _ in range(f.vspec.p):
-        out = out + g
-        g = apply_sigma(g)
-    return out
 
 
 def weight(f: Polynomial) -> int:

@@ -1,17 +1,65 @@
-"""Dense reference oracles that only the tests use.
+"""Reference oracles that only the tests use.
 
-They write sigma as a full matrix, on W or on a total-degree piece of
+sigma on k[V] is applied term by term in pure Python, each x_{i,j}^e
+replaced by (x_{i,j} + x_{i+1,j})^e multiplied out: independent of the
+vectorized ``poly.sigma_terms`` the package computes with.  The dense
+oracles write sigma as a full matrix, on W or on a total-degree piece of
 k[V], and eliminate with the pure-Python ``modcov.field``: independent of
-the chain bases and the numpy elimination the package computes with, so
-the tests can cross-check the two.
+the chain bases and the numpy elimination, so the tests can cross-check
+the two.
 """
 
 from collections import Counter
+from functools import lru_cache
 
 from modcov.covariants import Covariant
 from modcov.field import FpMatrix, kernel_basis, rref
 from modcov.modules import ModuleSpec, sigma_on_w
-from modcov.poly import Polynomial, _operator_matrix, apply_sigma, graded_basis
+from modcov.poly import Polynomial, _operator_matrix, graded_basis, variables
+
+
+@lru_cache(maxsize=None)
+def _sigma_var_image(vspec: ModuleSpec, i: int, j: int, e: int) -> Polynomial:
+    """sigma(x_{i,j}^e), expanded."""
+    n = vspec.blocks[j - 1]
+    if i == n:
+        return Polynomial.variable(vspec, i, j, e)
+    img = Polynomial.variable(vspec, i, j) + Polynomial.variable(vspec, i + 1, j)
+    out = Polynomial.constant(vspec, 1)
+    base = img
+    # binary powering keeps intermediate blowup down for large e
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
+def apply_sigma_by_terms(f: Polynomial) -> Polynomial:
+    """sigma(f), one term at a time: the product of the images of its powers."""
+    vspec = f.vspec
+    vars_ = variables(vspec)
+    out = Polynomial.zero(vspec)
+    for mon, c in f.terms.items():
+        term = Polynomial.constant(vspec, c)
+        for idx, e in enumerate(mon):
+            if e:
+                i, j = vars_[idx]
+                term = term * _sigma_var_image(vspec, i, j, e)
+        out = out + term
+    return out
+
+
+def orbit_sum(f: Polynomial) -> Polynomial:
+    """Sum of sigma^i(f) over i = 0..p-1; agrees with ``poly.transfer``."""
+    out = Polynomial.zero(f.vspec)
+    g = f
+    for _ in range(f.vspec.p):
+        out = out + g
+        g = apply_sigma_by_terms(g)
+    return out
 
 
 def block_sigma_matrix(w: ModuleSpec) -> FpMatrix:
@@ -79,7 +127,7 @@ def decompose_by_delta_ranks(sigma: FpMatrix) -> Counter:
 def graded_piece_block_structure(vspec: ModuleSpec, d: int):
     """Jordan block sizes of k[V]_d as a kG-module (multiset as a Counter)."""
     mons = graded_basis(vspec, d)
-    mat = _operator_matrix(vspec, mons, apply_sigma)
+    mat = _operator_matrix(vspec, mons, apply_sigma_by_terms)
     return decompose_by_delta_ranks(mat)
 
 
@@ -92,7 +140,7 @@ def covariant_basis(vspec: ModuleSpec, wspec: ModuleSpec, d: int) -> list:
     mat = FpMatrix(vspec.field, dim, dim)
     sig_w = [sigma_on_w(wspec, i) for i in range(1, n + 1)]
     for col_m, m in enumerate(mons):
-        img = apply_sigma(Polynomial.from_monomial(vspec, m))
+        img = apply_sigma_by_terms(Polynomial.from_monomial(vspec, m))
         for i in range(1, n + 1):
             col = col_m * n + (i - 1)
             for mm, c in img.terms.items():

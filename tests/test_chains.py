@@ -31,7 +31,7 @@ from modcov.poly import (
     is_invariant,
     weight,
 )
-from oracle import graded_piece_block_structure
+from oracle import apply_sigma_by_terms, graded_piece_block_structure
 
 SPECS = [
     module_spec(2, [2]),
@@ -241,13 +241,14 @@ BLOCK_PIECES = [
 
 
 def _block_delta_reference(p, n, d):
-    """Delta on Sym^d(V_n), one monomial at a time through poly.delta."""
+    """Delta on Sym^d(V_n), one monomial at a time through the term-by-term
+    oracle sigma (not poly.sigma_terms, which _block_delta_matrix calls)."""
     piece = BlockPiece(n, d)
     vspec = module_spec(p, [n])
     out = np.zeros((piece.size, piece.size), dtype=np.int64)
     for col, mono in enumerate(piece.exps):
-        img = delta(Polynomial.from_monomial(vspec, tuple(int(e) for e in mono)))
-        for mm, c in img.terms.items():
+        f = Polynomial.from_monomial(vspec, tuple(int(e) for e in mono))
+        for mm, c in (apply_sigma_by_terms(f) - f).terms.items():
             out[piece.rank(np.array(mm))[0], col] = c
     return out
 

@@ -1,8 +1,11 @@
+import hashlib
+import io
 import random
 
 import pytest
 
-from modcov import poly
+import dump_structure
+from modcov import generators, poly
 from modcov.covariants import (
     ChainError,
     Covariant,
@@ -237,8 +240,6 @@ def test_decompose_by_norm_rejects_block_index(j):
 
 def test_decompose_transfer_covariant_simple():
     # f = q * g with q invariant: a single-pair decomposition exists
-    from modcov import generators
-
     gens = generators.module_generators(V2)
     g = generators.gamma(V2)
     rng = random.Random(55)
@@ -271,3 +272,16 @@ def test_decompose_transfer_covariant_degree_guard():
     if not h.is_zero():
         with pytest.raises(ValueError):
             decompose_transfer_covariant(h, [Polynomial.constant(V2, 1)], gamma=5)
+
+
+# sha256 of ``python tests/dump_structure.py``: (h1, h2, u) and the
+# transfer pairs of the structure benchmark cases, seeds 1..10
+STRUCTURE_SHA256 = "faae995acd40cf244a692d3ad2301f10231515a7f617170ed253943ef8827707"
+
+
+def test_structure_dump_matches_recorded_hash():
+    # a new engine for the transfer case, as in a fresh interpreter
+    generators._engine.cache_clear()
+    out = io.StringIO()
+    dump_structure.write_dump(out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == STRUCTURE_SHA256

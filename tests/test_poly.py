@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from modcov.field import FpMatrix, rref
@@ -16,12 +17,12 @@ from modcov.poly import (
     invariant_basis,
     is_invariant,
     norm,
-    orbit_sum,
+    sigma_terms,
     transfer,
     var_index,
     weight,
 )
-from oracle import graded_piece_block_structure
+from oracle import apply_sigma_by_terms, graded_piece_block_structure, orbit_sum
 
 SPECS = [
     module_spec(2, [2]),
@@ -60,6 +61,48 @@ def test_sigma_is_a_ring_homomorphism():
         f, g = random_poly(rng, v), random_poly(rng, v)
         assert apply_sigma(f * g) == apply_sigma(f) * apply_sigma(g)
         assert apply_sigma(f + g) == apply_sigma(f) + apply_sigma(g)
+
+
+def _wide_poly(rng, vspec, top):
+    """Up to 4 terms, each a random coefficient times at most 3 powers of
+    random variables, with exponents from 0..top and around p and p^2."""
+    p = vspec.p
+    special = [1, p - 1, p, p + 1, p * p - 1, p * p, p * p + p + 1]
+    terms = {}
+    for _ in range(rng.randrange(5)):
+        mon = [0] * vspec.dim
+        for _ in range(rng.randrange(4)):
+            e = rng.choice([rng.randrange(top + 1)] + [x for x in special if x <= top])
+            mon[rng.randrange(vspec.dim)] = e
+        terms[tuple(mon)] = rng.randrange(1, p)
+    return Polynomial(vspec, terms)
+
+
+def test_sigma_matches_term_oracle():
+    # the vectorized substitution against sigma multiplied out term by
+    # term; at p <= 7 exponents reach 2p^2 + p, so C(e, k) mod p is a
+    # product over three or more base-p digits (Lucas)
+    rng = random.Random(39)
+    for p in (2, 3, 5, 7, 32749):
+        top = 2 * p * p + p if p <= 7 else 40
+        for _ in range(15):
+            blocks = [rng.randint(1, min(p, 4)) for _ in range(rng.randint(1, 3))]
+            v = module_spec(p, blocks)
+            polys = [Polynomial.zero(v), Polynomial.constant(v, rng.randrange(1, p))]
+            polys += [_wide_poly(rng, v, top) for _ in range(3)]
+            for f in polys:
+                assert apply_sigma(f) == apply_sigma_by_terms(f), (p, blocks, f)
+            # all at once, one source id per polynomial
+            rows = [(t, mon, c) for t, f in enumerate(polys) for mon, c in f.terms.items()]
+            exps, coefs, src = sigma_terms(
+                v,
+                np.array([mon for _, mon, _ in rows], dtype=np.int64).reshape(-1, v.dim),
+                np.array([c for *_, c in rows], dtype=np.int64),
+                np.array([t for t, *_ in rows], dtype=np.int64),
+            )
+            for t, f in enumerate(polys):
+                got = {tuple(m): int(c) for m, c in zip(exps[src == t].tolist(), coefs[src == t])}
+                assert got == apply_sigma_by_terms(f).terms, (p, blocks, f)
 
 
 def test_sigma_has_order_p():
