@@ -241,17 +241,17 @@ def _fold_tensor(left_chains, right_chains, p):
     """Chains of (span of left_chains) (x) (span of right_chains)."""
     out = []
     for lc in left_chains:
-        a = lc.shape[0]
-        lf = lc.astype(np.float64).T  # (c1, a)
+        a, c1 = lc.shape
         for rc in right_chains:
-            b = rc.shape[0]
-            rf = rc.astype(np.float64)  # (b, c2)
+            b, c2 = rc.shape
             for tmpl in _tensor_templates(p, a, b):
                 # sum_{s,t} tv[s*b+t] * (lc[s] (x) rc[t]) for every template
-                # vector tv at once; reducing mid keeps each product exact
-                mid = np.mod(tmpl.reshape(-1, a, b).astype(np.float64) @ rf, p)
-                big = np.mod(lf @ mid, p)  # (levels, c1, c2)
-                out.append(big.reshape(tmpl.shape[0], -1).astype(_dtype(p)))
+                # vector tv at once: contract t against rc, then s against lc
+                # on the transposed middle; matmul_mod checks each is exact
+                levels = tmpl.shape[0]
+                mid = matmul_mod(tmpl.reshape(-1, b), rc, p).reshape(levels, a, c2)
+                big = matmul_mod(lc.T, mid.transpose(1, 0, 2).reshape(a, -1), p)
+                out.append(big.reshape(c1, levels, c2).transpose(1, 0, 2).reshape(levels, -1))
     return out
 
 

@@ -124,22 +124,14 @@ def _case_result(p, v_blocks, w_blocks, mode):
     if mode in ("compute", "both"):
         vred, _ = formulas.reduce_V(vspec)
         w_sizes = [n for n in wspec.blocks if n > 1]
-        betas = []
-        degs = None
-        cap_used = None
-        certificate = None
         # decomposable W: generators are the per-summand generators
-        # (degree-0 generators of trivial summands included implicitly)
-        for n in w_sizes or [1]:
-            rep = generators.covariant_beta(vred, module_spec(p, [n]))
-            betas.append(rep.beta)
-            degs = rep.generator_degrees() if len(w_sizes) <= 1 else None
-            cap_used = rep.cap_used
-            certificate = rep.cap_certificate
-        entry["beta_computed"] = max(betas)
-        entry["generator_degrees"] = degs
-        entry["cap_used"] = cap_used
-        entry["cap_certificate"] = certificate
+        # (degree-0 generators of trivial summands included implicitly);
+        # every summand shares V, so the cap and certificate too
+        reps = [generators.covariant_beta(vred, module_spec(p, [n])) for n in w_sizes or [1]]
+        entry["beta_computed"] = max(rep.beta for rep in reps)
+        entry["generator_degrees"] = reps[0].generator_degrees() if len(reps) == 1 else None
+        entry["cap_used"] = reps[0].cap_used
+        entry["cap_certificate"] = reps[0].cap_certificate
     if mode == "both":
         entry["agree"] = entry["beta_formula"] == entry["beta_computed"]
     entry["elapsed_ms"] = int((time.monotonic() - start) * 1000)

@@ -294,31 +294,23 @@ class GradedEngine:
         reduced part of V (trivial blocks do not change the coinvariants)."""
         return formulas.coinvariant_top_degree_bound(formulas.reduce_V(self.vspec)[0])
 
-    def ensure_algebra(self, through=None):
-        """Advance the algebra/coinvariant computation far enough that the
-        certified algebra cap (and degree ``through``, if given) is covered."""
+    def ensure_algebra(self, through=0):
+        """Advance the algebra/coinvariant computation until gamma is known and
+        the certified algebra cap (and degree ``through``) is covered."""
         bound = self._gamma_bound()
-        if self._gamma is None and bound == 0:
-            self._gamma = 0
-        d = self._alg.done
-        while True:
-            cap = self.algebra_cap() if self._gamma is not None else None
-            need = max(through or 0, cap or 0)
-            if cap is not None and d >= need:
-                return
-            d += 1
+        while self._gamma is None or self._alg.done < max(through, self.algebra_cap()):
+            d = self._alg.done + 1
             self._step(
                 self._alg, d, lambda md: self._covariant_piece(md, d, 1, self._alg.gens)
             )
             if self._gamma is None:
                 self._step(self._coinv, d, lambda md: self._coinv_piece(md, d))
-                if self._coinv.counts[d] == 0:
-                    self._gamma = d - 1
-                elif d >= bound:
-                    # still nonzero at the certified top-degree bound:
-                    # the bound pins gamma exactly, no need to watch
-                    # the coinvariants vanish one degree later
-                    self._gamma = d
+                zero = self._coinv.counts[d] == 0
+                if zero or d >= bound:
+                    # zero: gamma is d - 1; still nonzero at the certified
+                    # top-degree bound: the bound pins gamma exactly, no need
+                    # to watch the coinvariants vanish one degree later
+                    self._gamma = d - 1 if zero else d
 
     @property
     def gamma(self) -> int:
@@ -334,21 +326,14 @@ class GradedEngine:
 
     # -- covariant modules ----------------------------------------------
 
-    def ensure_covariant(self, n: int, through=None):
+    def ensure_covariant(self, n: int, through=0):
         """Generator counts for k[V,V_n]^G through max(certified cap, through)."""
-        cap = self.covariant_cap()
-        need = max(cap, through or 0)
-        self.ensure_algebra()
+        need = max(self.covariant_cap(), through)
         if n == 1 or n >= self.p:
             # weight <= 1 cuts out A itself (generated by 1); weight <= p
-            # is no constraint at all, so the module is k[V] and its
-            # minimal generators are the coinvariant lifts
-            if n not in self._cov or self._cov[n].done < need:
-                gens = self._coinv.gens if n > 1 else self._coinv.gens[:1]
-                counts = {d: 0 for d in range(need + 1)}
-                for g in gens:
-                    counts[g.degree] += 1
-                self._cov[n] = _Graded(counts, list(gens), need)
+            # is no constraint at all, so the module is k[V] and its record
+            # is the coinvariants' (they vanish above gamma)
+            self._cov[n] = _Graded({0: 1}, self._coinv.gens[:1], need) if n == 1 else self._coinv
             return
         obj = self._cov.setdefault(n, _Graded({0: 1}, self._coinv.gens[:1]))
         for d in range(obj.done + 1, need + 1):
@@ -363,9 +348,9 @@ def _engine(vspec: ModuleSpec) -> GradedEngine:
 
 
 def _report(target, obj: _Graded, cap, certificate):
-    """BetaReport of obj through the certified cap (obj may run further);
+    """BetaReport of obj through the certified cap (a count obj lacks is 0);
     the witness of each degree is its first generator in discovery order."""
-    kept = {d: c for d, c in obj.counts.items() if d <= cap}
+    kept = {d: obj.counts.get(d, 0) for d in range(min(obj.counts), cap + 1)}
     nonzero = [d for d, c in kept.items() if c]
     witnesses = {}
     for g in obj.gens:
@@ -385,7 +370,6 @@ def coinvariants_dims(vspec: ModuleSpec):
     """dim (k[V]/A_+ k[V])_d for d = 0 .. gamma (all nonzero; the dimension
     is zero in every higher degree because k[V] is generated in degree 1)."""
     eng = _engine(vspec)
-    eng.ensure_algebra()
     return [eng._coinv.counts[d] for d in range(eng.gamma + 1)]
 
 

@@ -90,6 +90,7 @@ def _random_poly(rng, vspec, max_deg=4, max_terms=5):
     return Polynomial(vspec, terms)
 
 
+@pytest.mark.slow
 def test_criterion_1_covariant_beta_sweep(sweep):
     records, _ = sweep
     assert len(records) == 64
@@ -131,6 +132,7 @@ def test_criterion_2_invariant_betas():
         assert rep.beta == value
 
 
+@pytest.mark.slow
 def test_criterion_3_certified_caps_and_gamma_bounds(sweep):
     records, gammas = sweep
     for r in records:

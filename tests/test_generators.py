@@ -145,6 +145,29 @@ def test_covariant_w_equal_vp_matches_coinvariants():
     for d, c in enumerate(dims):
         assert rep.generator_counts[d] == c
     assert rep.beta == gamma(v)
+    # the counts run through the cap, zero above gamma
+    assert list(rep.generator_counts) == list(range(rep.cap_used + 1))
+    assert all(rep.generator_counts[d] == 0 for d in range(len(dims), rep.cap_used + 1))
+    # k[V] over k[V]^G is one record, shared with the coinvariants
+    assert generators._engine(v)._cov[3] is generators._engine(v)._coinv
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 2), (5, 3)])
+def test_trivial_v_reaches_gamma_zero(p, m):
+    # G acts trivially on m V_1: A = k[V] is generated by the m variables,
+    # the coinvariants are k in degree 0, and every covariant module is
+    # generated by 1
+    v = module_spec(p, [1] * m)
+    cap = m * p - m
+    assert gamma(v) == 0
+    assert coinvariants_dims(v) == [1]
+    alg = algebra_beta(v)
+    assert alg.generator_counts == {1: m, **{d: 0 for d in range(2, max(p, cap) + 1)}}
+    assert alg.beta == 1
+    for n in range(1, p + 1):
+        rep = covariant_beta(v, module_spec(p, [n]))
+        assert rep.generator_counts == {0: 1, **{d: 0 for d in range(1, cap + 1)}}
+        assert rep.beta == 0
 
 
 def test_covariant_dims_agree_with_direct_basis():
@@ -213,6 +236,13 @@ def test_is_decomposable_covariant():
     assert not is_decomposable_covariant(from_weight_poly(x1, w))
     # x2 * x1 = invariant times a lower generator
     assert is_decomposable_covariant(from_weight_poly(x2 * x1, w))
+    # above the cap: in A = k[V,V_1]^G an invariant is a multiple of 1, and
+    # k[V,V_p]^G = k[V] is generated by the coinvariant lifts
+    assert covariant_beta(v, module_spec(3, [3])).cap_used < 7
+    x2_7 = Polynomial.from_monomial(v, [0, 7])
+    assert is_decomposable_covariant(from_weight_poly(x2_7, module_spec(3, [1])))
+    x1_3x2_4 = Polynomial.from_monomial(v, [3, 4])
+    assert is_decomposable_covariant(from_weight_poly(x1_3x2_4, module_spec(3, [3])))
 
 
 def test_covariant_rejects_decomposable_w_and_wrong_prime():
