@@ -42,14 +42,11 @@ def nilpotent_chains(n_mat, p):
     dim = n_mat.shape[0]
     if dim == 0:
         return []
-    powers = [np.eye(dim, dtype=np.int64)]
-    while True:
-        nxt = matmul_mod(powers[-1], n_mat, p)
-        powers.append(nxt)
-        if not nxt.any():
-            break
-        if len(powers) > dim + 1:
+    powers = [None, n_mat]  # powers[k] = N^k; N^0 = I is never multiplied
+    while powers[-1].any():
+        if len(powers) > dim:  # N^dim != 0
             raise ValueError("matrix is not nilpotent")
+        powers.append(matmul_mod(powers[-1], n_mat, p))
     top_len = len(powers) - 1  # N^top_len = 0
     # N^(k-1) maps ker N^k onto the bottoms of the chains of length >= k,
     # with kernel ker N^(k-1); so v in ker N^k tops a new chain exactly
@@ -58,7 +55,7 @@ def nilpotent_chains(n_mat, p):
     chains = []
     for k in range(top_len, 0, -1):
         cands = kernel_mod(powers[k], p)
-        new = bottoms.add_rows(matmul_mod(cands, powers[k - 1].T, p))
+        new = bottoms.add_rows(cands if k == 1 else matmul_mod(cands, powers[k - 1].T, p))
         if not new:
             continue
         levels = [cands[new].astype(np.int64)]

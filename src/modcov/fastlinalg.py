@@ -1,18 +1,23 @@
 """numpy-backed exact linear algebra mod p for large graded pieces.
 
-All arithmetic is exact: products are taken in float64 and reduced mod p
-afterwards.  Entries are < p, so a dot product over k terms is bounded by
-k*(p-1)^2, which ``matmul_mod`` checks against 2^53.
+Matrices are stored in ``_dtype(p)`` with entries in [0, p).  Products are
+taken in float64, where they are exact while every value stays below 2^53:
+a dot product over k terms is bounded by k*(p-1)^2, and ``_check_exact``
+refuses a product whose bound k*(p-1)^2 + p reaches 2^53 (the + p leaves
+room for the reduction).  Each product is reduced once, in place, by the
+floor trick x - floor(x/p)*p (FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM
+TOMS 35, 2008) and written back to ``_dtype(p)``; only the block being
+reduced is ever float.
 
-Rows are inserted by one step, ``_merge``: reduce them against an rref,
-eliminate what is left, back-reduce the old rows, sort by pivot column.
-``rref_mod`` merges the bottom half of a matrix into the rref of its top
-half, ``Echelon.add_rows`` a batch into a growing basis.  At most
-``_BASE_ROWS`` rows go to ``_rref_base``: whole-row int64 steps, products
-below _BASE_ROWS*(p-1)^2.  A row gets a pivot iff it is independent of the
-rows before it (the row rank profile).  ``solve_mod`` (x @ a = b, free
-coordinates 0) and ``kernel_mod`` (right null space) are one ``rref_mod``
-each; other modules call these, never ``rref_mod``.
+Rows are inserted by one step, ``_merge``: reduce them against an rref
+(one gemm and one reduction), eliminate what is left, back-reduce the old
+rows, sort by pivot column.  ``rref_mod`` merges the bottom half of a
+matrix into the rref of its top half, ``Echelon.add_rows`` a batch into a
+growing basis.  At most ``_BASE_ROWS`` rows go to ``_rref_base``, which
+takes one whole-block step per pivot.  A row gets a pivot iff it is
+independent of the rows before it (the row rank profile).  ``solve_mod``
+(x @ a = b, free coordinates 0) and ``kernel_mod`` (right null space) are
+one ``rref_mod`` each; other modules call these, never ``rref_mod``.
 
 Cross-checked against the pure-Python ``field`` module in the test suite.
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 _BASE_ROWS = 64  # naive elimination below this many rows
+_BLOCK = 1 << 15  # elements reduced at a time, so the temporaries stay in cache
 
 
 def _dtype(p: int):
@@ -33,52 +39,84 @@ def asmod(a, p: int):
     return np.mod(a, p).astype(_dtype(p), copy=False)
 
 
+def _check_exact(k: int, p: int):
+    """Refuse a product over k terms that float64 cannot hold exactly."""
+    if k * (p - 1) ** 2 + p >= 2**53:
+        raise OverflowError(f"k*(p-1)^2 + p >= 2^53 for k = {k}, p = {p}: float64 is inexact")
+
+
+def _reduce_into(x, p: int, out):
+    """out = x mod p for a C-contiguous float64 array x of integers with
+    |x| + p < 2^53; x is overwritten."""
+    x, flat = x.reshape(-1), out.reshape(-1)
+    q = np.empty(min(_BLOCK, x.size))
+    for s in range(0, x.size, _BLOCK):
+        v = x[s : s + _BLOCK]
+        w = q[: v.size]
+        np.multiply(v, 1.0 / p, out=w)
+        np.floor(w, out=w)
+        w *= p
+        v -= w
+        # x*(1/p) can round across an integer: one step back either way
+        if v.min() < 0 or v.max() >= p:
+            v[v < 0] += p
+            v[v >= p] -= p
+        flat[s : s + _BLOCK] = v
+    return out
+
+
 def matmul_mod(a, b, p: int):
     """(a @ b) mod p, exact, chunked over rows of a to bound temp memory."""
     m, k = a.shape
     k2, n = b.shape
     assert k == k2
-    if k * (p - 1) ** 2 >= 2**53:
-        raise OverflowError(f"k*(p-1)^2 >= 2^53 for k = {k}, p = {p}: float64 is inexact")
-    if k == 0 or m == 0:
+    _check_exact(k, p)
+    if k == 0:
         return np.zeros((m, n), dtype=_dtype(p))
     bf = b.astype(np.float64)
     out = np.empty((m, n), dtype=_dtype(p))
     step = max(1, int(2e7) // max(1, n))
     for r0 in range(0, m, step):
-        chunk = a[r0 : r0 + step].astype(np.float64)
-        out[r0 : r0 + step] = np.mod(chunk @ bf, p)
+        _reduce_into(a[r0 : r0 + step].astype(np.float64) @ bf, p, out[r0 : r0 + step])
     return out
 
 
 def _reduce_against(m, rows, pivcols, p):
-    """Clear the pivot columns of ``m`` using the rref ``rows``."""
+    """Clear the pivot columns of ``m`` using the rref ``rows``: one gemm
+    m - m[:, pivcols] @ rows and one reduction."""
     coef = m[:, pivcols]
     if not coef.any():
         return m
-    return asmod(m.astype(np.int64) - matmul_mod(coef, rows, p).astype(np.int64), p)
+    _check_exact(len(pivcols), p)
+    x = coef.astype(np.float64) @ rows.astype(np.float64)
+    np.subtract(m, x, out=x)
+    return _reduce_into(x, p, np.empty(m.shape, dtype=_dtype(p)))
 
 
 def _rref_base(m, p):
-    """Incremental rref of a small block; rows earlier in order win pivots.
-    The basis rows are mutually reduced, so one product v[pivs] @ basis
-    reduces a row, and its pivot column is cleared where the basis has it."""
-    basis = np.zeros((min(m.shape), m.shape[1]), dtype=np.int64)
-    pivs = np.zeros(basis.shape[0], dtype=np.intp)
-    origs = np.zeros(basis.shape[0], dtype=np.intp)
-    rank = 0
-    for i, v in enumerate(m.astype(np.int64)):
-        v = (v - v[pivs[:rank]] @ basis[:rank]) % p
-        nz = np.flatnonzero(v)
-        if nz.size:
-            c = nz[0]
-            v = v * pow(int(v[c]), p - 2, p) % p
-            hit = np.flatnonzero(basis[:rank, c])
-            basis[hit] = (basis[hit] - np.outer(basis[hit, c], v)) % p
-            basis[rank], pivs[rank], origs[rank] = v, c, i
-            rank += 1
-    order = np.argsort(pivs[:rank])
-    return asmod(basis[order], p), pivs[order], origs[order].tolist()
+    """rref of a small block, one step per pivot.  After the rows are
+    reduced against the pivots found so far, the first nonzero row below
+    the last pivot row is the next row of the row rank profile: the rows
+    skipped are zero, so they depend on earlier rows, and stay zero.
+    Entries stay within [-(p-1)^2, p), which int16 holds for p <= 181."""
+    a = m.astype(np.int16 if p <= 181 else np.int64)
+    pivs, origs = [], []
+    i = -1
+    while True:
+        nz = np.flatnonzero(a[i + 1 :].any(axis=1))
+        if not nz.size:
+            break
+        i += 1 + int(nz[0])
+        c = int(np.flatnonzero(a[i])[0])
+        row = a[i] * pow(int(a[i, c]), p - 2, p) % p
+        hit = np.flatnonzero(a[:, c])
+        a[hit] = (a[hit] - np.outer(a[hit, c], row)) % p
+        a[i] = row
+        pivs.append(c)
+        origs.append(i)
+    order = np.argsort(pivs)
+    rows = a[np.array(origs, dtype=np.intp)[order]].astype(_dtype(p))
+    return rows, np.array(pivs, dtype=np.intp)[order], [origs[j] for j in order]
 
 
 def _merge(rows, pivs, m, p):
@@ -87,7 +125,7 @@ def _merge(rows, pivs, m, p):
 
     Returns the merged rows and pivots, the origins in m of the new rows in
     pivot order, and the permutation that sorted [old rows; new rows]."""
-    new, new_pivs, origs = rref_mod(_reduce_against(m, rows, pivs, p), p)
+    new, new_pivs, origs = _rref(_reduce_against(m, rows, pivs, p), p)
     if not origs:
         return rows, pivs, origs, np.arange(len(pivs))
     rows = np.concatenate([_reduce_against(rows, new, new_pivs, p), new])
@@ -104,11 +142,15 @@ def rref_mod(m, p: int):
     echelon row, which input row first contributed that pivot (a row is
     selected iff it is independent of all earlier input rows).
     """
-    m = asmod(m, p)
+    return _rref(asmod(m, p), p)
+
+
+def _rref(m, p):
+    """``rref_mod`` of a matrix already reduced into ``_dtype(p)``."""
     if m.shape[0] <= _BASE_ROWS:
         return _rref_base(m, p)
     half = m.shape[0] // 2
-    top, top_pivs, top_origs = rref_mod(m[:half], p)
+    top, top_pivs, top_origs = _rref(m[:half], p)
     rows, pivs, new, order = _merge(top, top_pivs, m[half:], p)
     origs = top_origs + [half + i for i in new]
     return rows, pivs, [origs[i] for i in order]

@@ -5,9 +5,29 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcov import field
-from modcov.fastlinalg import Echelon, _reduce_against, asmod, matmul_mod, rref_mod, solve_mod
+from modcov.fastlinalg import (
+    _BASE_ROWS,
+    Echelon,
+    _check_exact,
+    _dtype,
+    _reduce_against,
+    _reduce_into,
+    asmod,
+    matmul_mod,
+    rref_mod,
+    solve_mod,
+)
+
+# small primes, both sides of the int8 storage limit (128), and a prime
+# whose squared residues are near 2^30
+EDGE_PRIMES = (2, 3, 5, 7, 181, 191, 32749)
+# the largest prime with (p-1)^2 + p < 2^53: one product term reaches the
+# float64 bound
+TOP_PRIME = 94906249
 
 
 def _rand(rng, rows, cols, p):
@@ -165,3 +185,122 @@ def test_solve_mod_matches_oracle():
             else:
                 assert [int(v) for v in x] == want
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_floor_reduction_is_exact_at_its_edges(p):
+    """x - floor(x/p)*p with its correction step equals Python's x % p on
+    exact multiples of p and their neighbours, on values just under the
+    bound |x| + p < 2^53 (where x*(1/p) rounds across integers), on
+    negative values, and on random values over the whole range."""
+    top = 2**53 - p - 1
+    vals = set()
+    for k in (0, 1, 2, 3, 10**6, top // p - 1, top // p):
+        for r in (-1, 0, 1):
+            vals.update((k * p + r, -(k * p + r)))
+    for j in range(3 * p):
+        vals.update((top - j, j - top))
+    rng = np.random.default_rng(p)
+    vals.update(int(v) for v in rng.integers(-top, top, 10**5, endpoint=True))
+    vals = sorted(v for v in vals if abs(v) <= top)
+    x = np.array(vals, dtype=np.float64)
+    assert [int(v) for v in x] == vals  # every value is held exactly
+    out = _reduce_into(x, p, np.empty(len(vals), dtype=_dtype(p)))
+    assert out.tolist() == [v % p for v in vals]
+
+
+def _reduce_oracle(m, rows, pivcols, p):
+    m, rows = m.astype(object), rows.astype(object)
+    return ((m - m[:, pivcols] @ rows) % p).tolist()
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_reduce_against_matches_integer_arithmetic(p):
+    """m - m[:, pivcols] @ rows is mostly negative; its residues must be
+    exact.  The all-(p-1) rows give the most negative values."""
+    rng = np.random.default_rng(18)
+    k, n = 40, 30
+    rows = np.concatenate([np.eye(k, dtype=np.int64), rng.integers(0, p, (k, n))], axis=1)
+    m = rng.integers(0, p, (25, k + n))
+    rows[-1, k:] = p - 1
+    m[-1] = p - 1
+    got = _reduce_against(asmod(m, p), asmod(rows, p), np.arange(k), p)
+    assert got.dtype == _dtype(p)
+    assert got.tolist() == _reduce_oracle(m, rows, np.arange(k), p)
+
+
+def test_reduce_against_at_and_past_its_bound():
+    """One pivot at TOP_PRIME puts -(p-1)^2 just above -2^53 and is exact;
+    two pivots pass k*(p-1)^2 + p < 2^53 and are refused."""
+    p = TOP_PRIME
+    rows = np.array([[1, 0, p - 1], [0, 1, p - 1]])
+    m = np.array([[p - 1, 0, 0], [p - 1, p - 1, 5]])
+    got = _reduce_against(asmod(m[:1], p), asmod(rows[:1], p), np.array([0]), p)
+    assert got.tolist() == _reduce_oracle(m[:1], rows[:1], [0], p) == [[0, 0, p - 1]]
+    assert matmul_mod(np.array([[p - 1]]), np.array([[p - 1]]), p).tolist() == [[1]]
+    with pytest.raises(OverflowError):
+        _reduce_against(asmod(m, p), asmod(rows, p), np.array([0, 1]), p)
+    # the bound leaves room for the reduction: k*(p-1)^2 + p, not k*(p-1)^2
+    _check_exact(2**53 - 3, 2)
+    with pytest.raises(OverflowError):
+        _check_exact(2**53 - 2, 2)
+
+
+@pytest.mark.parametrize("p", (181, 191))
+def test_rref_base_holds_its_largest_products(p):
+    """Entries p-2 and p-1 make every elimination product near (p-1)^2,
+    the most the small-dtype base step must hold (int16 up to p = 181)."""
+    rng = np.random.default_rng(p)
+    m = rng.integers(p - 2, p, (_BASE_ROWS, 12))
+    rows, pivs, _ = rref_mod(m, p)
+    R, opivs, rank = field.rref(_to_fp(m, p))
+    assert list(pivs) == opivs
+    assert rows.tolist() == [R.row(r) for r in range(rank)]
+
+
+def _greedy_rref_oracle(m, p):
+    """field.rref of m, and per pivot column the first row of m whose
+    reduction against the rref of the rows before it has its leading entry
+    there (that row is independent of the rows before it)."""
+    basis, bpivs, origin = [], [], {}
+    for i, row in enumerate(m.tolist()):
+        v = [x % p for x in row]
+        for b, c in zip(basis, bpivs):
+            v = [(x - v[c] * y) % p for x, y in zip(v, b)]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is not None:
+            origin[lead] = i
+            R, bpivs, rank = field.rref(_to_fp(np.array(basis + [v]), p))
+            basis = [R.row(r) for r in range(rank)]
+    R, pivs, rank = field.rref(_to_fp(m, p))
+    assert pivs == bpivs
+    return [R.row(r) for r in range(rank)], pivs, [origin[c] for c in pivs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from(EDGE_PRIMES),
+    nrows=st.integers(1, 2 * _BASE_ROWS + 20),
+    ncols=st.integers(1, 8),
+    rank=st.integers(0, 8),
+    zeros=st.floats(0, 0.6),
+    repeats=st.floats(0, 0.6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rref_mod_matches_field_rref_and_greedy_origins(
+    p, nrows, ncols, rank, zeros, repeats, seed
+):
+    """Rows, pivots and origins of rref_mod on low-rank matrices with zero
+    and repeated rows, above and below the base-case size."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, p, (nrows, rank)) @ rng.integers(0, p, (rank, ncols)) % p
+    kind = rng.random(nrows)
+    for i in range(1, nrows):
+        if kind[i] < repeats:
+            m[i] = m[rng.integers(0, i)]
+    m[kind > 1 - zeros] = 0
+    rows, pivs, origins = rref_mod(m, p)
+    want_rows, want_pivs, want_origins = _greedy_rref_oracle(m, p)
+    assert rows.tolist() == want_rows
+    assert pivs.tolist() == want_pivs
+    assert origins == want_origins
