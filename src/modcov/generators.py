@@ -180,7 +180,7 @@ class GradedEngine:
                 continue
             inv = self._chains(qmd).weight_le_matrix(1)
             if g.degree == 0:  # a nonzero constant c: the products are c * inv
-                prod = inv.astype(np.int64) * next(iter(g.poly.terms.values())) % self.p
+                prod = asmod(inv.astype(np.int64) * next(iter(g.poly.terms.values())), self.p)
             else:
                 mult = chains.multiplication_map(g.poly, self._chains(qmd).index, target)
                 prod = _mm(inv, mult.T, self.p)

@@ -4,15 +4,21 @@
 
 Runs each case (all of CASES by default) in a fresh interpreter with BLAS
 at one thread, and writes one JSON file: per case the wall time of its
-timed stages (building the rref case's input is not timed), their sum,
-the process's peak RSS (``ru_maxrss``) and a sha256 fingerprint
-of what it computed (generator counts, beta and gamma; for the rref case
-the rows, pivots and origins).  Two ladder files with equal fingerprints
-computed the same answers.  The modcov imported is the one in ``src/``
-next to this file, so a copy of this script run from another checkout
-measures that checkout.
+timed stages, their sum, the process's peak RSS (``ru_maxrss``) and a
+sha256 fingerprint of what it computed (generator counts, beta and gamma;
+for the rref case the rows, pivots and origins).  Two ladder files with
+equal fingerprints computed the same answers.  The modcov imported is the
+one in ``src/`` next to this file, so a copy of this script run from
+another checkout measures that checkout.
 
-2V_4 at p = 5 (about 690 s and 2.1 GB) is left out.
+The rref case times ``rref_mod`` on one real span piece: the rows
+``_span_echelon`` eliminates for V_4+V_3 at p = 5, multidegree (7, 4),
+n = 3 (4,999 x 1,800, rank 1,079).  Building it (the algebra and the
+n = 3 module through degree 10) is not timed, but sets the case's peak
+RSS.
+
+Each file holds one run per case.  2V_4 at p = 5 (about 230 s and
+1.4 GB) is left out.
 """
 
 from __future__ import annotations
@@ -33,15 +39,15 @@ BLAS_ENV = {
 }
 
 # name -> (p, blocks of V, what to compute); "every-w" is gamma, the
-# algebra and k[V,V_n]^G for n = 1..p, "gamma" stops after the algebra
+# algebra and k[V,V_n]^G for n = 1..p, "gamma" stops after the algebra,
+# "rref" times the span piece RREF_PIECE
 CASES = {
     "gamma-V5-p7": (7, (5,), "gamma"),
     "V4+V2-p5-every-w": (5, (4, 2), "every-w"),
     "V4+V3-p5-every-w": (5, (4, 3), "every-w"),
-    # a seeded random analogue of the largest span piece of V_4+V_3 at p = 5
-    # (multidegree (7, 4), n = 3): same shape and rank, not the same rows
-    "rref-random-4999x1800-rank1079-p5": (5, (4999, 1800, 1079), "rref"),
+    "rref-V4+V3-p5-md74-n3": (5, (4, 3), "rref"),
 }
+RREF_PIECE = ((7, 4), 3)  # multidegree and n of the rref case's span piece
 
 
 def _sha(obj) -> str:
@@ -69,29 +75,48 @@ def _engine_case(p, blocks, what):
     return stages, answers
 
 
-def _rref_case(p, shape, what):
+class _Captured(Exception):
+    """Carries the span piece out of the engine run that builds it."""
+
+
+def _span_piece(p, blocks):
+    """The rows ``_span_echelon`` would eliminate for RREF_PIECE."""
+    import numpy as np
+
+    from modcov import generators
+    from modcov.modules import module_spec
+
+    md, n = RREF_PIECE
+    eng = generators._engine(module_spec(p, blocks))
+    eng.ensure_algebra()
+    span_echelon = eng._span_echelon
+
+    def capture(piece_md, d, gens):
+        if piece_md != md:
+            return span_echelon(piece_md, d, gens)
+        raise _Captured(np.concatenate([prod for *_, prod in eng._span_rows(md, d, gens)]))
+
+    eng._span_echelon = capture
+    try:
+        eng.ensure_covariant(n)
+    except _Captured as got:
+        return got.args[0]
+    raise AssertionError(f"no span piece at multidegree {md} for n = {n}")
+
+
+def _rref_case(p, blocks, what):
     import numpy as np
 
     from modcov.fastlinalg import rref_mod
 
-    rows, cols, rank = shape
-    rng = np.random.default_rng(20261019)
-    # m = (random rows x rank) @ (random rank x cols) mod p, in row chunks
-    # so that building it does not set the peak RSS; the float64 product
-    # is exact (rank*(p-1)^2 < 2^53) and, unlike an int64 one, runs on BLAS
-    high = rng.integers(0, p, (rank, cols)).astype(np.float64)
-    m = np.empty((rows, cols), dtype=np.int8)
-    for r0 in range(0, rows, 500):
-        low = rng.integers(0, p, (min(500, rows - r0), rank)).astype(np.float64)
-        m[r0 : r0 + 500] = low @ high % p
-    del high, low
+    m = _span_piece(p, blocks)
     t = time.perf_counter()
     ech, pivs, origins = rref_mod(m, p)
     stages = {"rref": time.perf_counter() - t}
     digest = hashlib.sha256(ech.astype(np.int64).tobytes())
     digest.update(np.asarray(pivs, dtype=np.int64).tobytes())
     digest.update(np.asarray(origins, dtype=np.int64).tobytes())
-    return stages, {"rank": len(pivs), "rref_sha256": digest.hexdigest()}
+    return stages, {"shape": list(m.shape), "rank": len(pivs), "rref_sha256": digest.hexdigest()}
 
 
 def _run_case(name):
@@ -110,7 +135,6 @@ def _run_case(name):
                 "stages_s": {k: round(v, 3) for k, v in stages.items()},
                 "peak_rss_mb": round(rss_mb, 1),
                 "fingerprint": _sha(answers),
-                "answers": answers,
             }
         )
     )

@@ -228,6 +228,20 @@ def test_span_coefficients_constant_generator():
                 assert const * qs[const] == f
 
 
+def test_span_rows_stay_int8():
+    # the span of a piece is one concatenation of these blocks, so a single
+    # int64 block (the degree-0 generator's rows) makes all of it int64
+    v = module_spec(5, [3, 2])
+    eng = GradedEngine(v)
+    eng.ensure_covariant(2)
+    gens = eng._cov[2].gens
+    assert any(g.degree == 0 for g in gens)
+    for d in (1, 2, 3):
+        for md in _compositions(d, v.num_blocks):
+            for *_, prod in eng._span_rows(md, d, gens):
+                assert prod.dtype == np.int8
+
+
 def test_is_decomposable_covariant():
     v = module_spec(3, [2])
     w = module_spec(3, [2])
