@@ -54,8 +54,12 @@ def nilpotent_chains(n_mat, p):
     bottoms = Echelon(p, dim)
     chains = []
     for k in range(top_len, 0, -1):
-        cands = kernel_mod(powers[k], p)
-        new = bottoms.add_rows(cands if k == 1 else matmul_mod(cands, powers[k - 1].T, p))
+        if k == top_len:  # N^k = 0: ker N^k has the basis I, with bottoms (N^(k-1))^T
+            cands = np.eye(dim, dtype=n_mat.dtype)
+            new = bottoms.add_rows(cands if k == 1 else np.ascontiguousarray(powers[k - 1].T))
+        else:
+            cands = kernel_mod(powers[k], p)
+            new = bottoms.add_rows(cands if k == 1 else matmul_mod(cands, powers[k - 1].T, p))
         if not new:
             continue
         levels = [cands[new].astype(np.int64)]

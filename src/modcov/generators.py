@@ -15,11 +15,15 @@ max(p, m*p - dim V, gamma) for the algebra (norms, the degree bound on
 non-norm generators, and A-linearity of the transfer), and
 max(gamma, m*p - dim V) for covariant modules.
 
-Spans are computed per multidegree piece.  Because every element of A_+
-is a polynomial in the minimal algebra generators found so far, the span
-of lower-degree products equals the sum over known minimal generators g
-of (invariants of positive degree) * g, which keeps the number of rows
-fed to the rank computations small.
+Each object is an A-module M (A_+, the weight <= n elements, or k[V] =
+k[V,V_p]^G for the coinvariants) whose minimal generators of degree d
+span a complement of (A_+M)_d.  One routine, ``_covariant_piece`` over
+``_span_rows``, computes it per multidegree piece from either side of
+A_+M = (sum over generators h of M of A_+ h) = (sum over algebra
+generators g of g M).  The algebra and the covariant modules use the
+first, with fewer rows (V_4 + V_3 at p = 5, n = 2: 42,408 against
+76,521); the coinvariants use the second, whose rows are multiplication
+maps in monomials with no product to take (189,893 against 123,493 rows).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import chains, formulas
-from .fastlinalg import Echelon, asmod, solve_mod
+from .fastlinalg import Echelon, _dtype, asmod, solve_mod
 from .fastlinalg import matmul_mod as _mm
 from .modules import ModuleSpec
 from .poly import Polynomial, _compositions, var_index, variables
@@ -166,37 +170,30 @@ class GradedEngine:
 
     # -- spans of lower-degree products ---------------------------------
 
-    def _span_rows(self, md, d, gens):
-        """(generator, q-multidegree, invariant rows, product rows) for each
-        of gens below degree d that fits inside the degree-d piece md: the
-        product rows are the invariants of piece md - md(g) times g."""
+    def _span_rows(self, md, d, gens, k):
+        """(generator, q-multidegree, basis, product rows) for each of gens
+        that fits inside the degree-d piece md: g times a basis of the
+        weight <= k part of piece md - md(g).  With k = 1 that part is A,
+        taken in positive degree only (g below degree d).  Where it is the
+        whole piece, the basis is the monomials (None) and the products
+        are the multiplication map itself."""
         target = self._chains(md).index
         out = []
         for g in gens:
-            if g.degree >= d:
+            if k == 1 and g.degree >= d:
                 continue
             qmd = tuple(a - b for a, b in zip(md, g.multidegree))
             if any(q < 0 for q in qmd):
                 continue
-            inv = self._chains(qmd).weight_le_matrix(1)
-            if g.degree == 0:  # a nonzero constant c: the products are c * inv
-                prod = asmod(inv.astype(np.int64) * next(iter(g.poly.terms.values())), self.p)
+            pc = self._chains(qmd)
+            basis = None if pc.dim_weight_le(k) == pc.index.size else pc.weight_le_matrix(k)
+            if g.degree == 0 and basis is not None:  # a nonzero constant c: c * basis
+                prod = asmod(basis.astype(np.int64) * next(iter(g.poly.terms.values())), self.p)
             else:
-                mult = chains.multiplication_map(g.poly, self._chains(qmd).index, target)
-                prod = _mm(inv, mult.T, self.p)
-            out.append((g, qmd, inv, prod))
+                mult = chains.multiplication_map(g.poly, pc.index, target).T
+                prod = mult if basis is None else _mm(basis, mult, self.p)
+            out.append((g, qmd, basis, prod))
         return out
-
-    def _span_echelon(self, md, d, gens) -> Echelon:
-        """Echelon of sum over gens g of (positive-degree invariants)*g
-        inside the degree-d piece of multidegree md."""
-        ech = Echelon(self.p, self._chains(md).index.size)
-        rows = [prod for *_, prod in self._span_rows(md, d, gens)]
-        if rows:
-            # one bulk insertion: the recursive rref is much cheaper than
-            # reducing many small batches against a growing basis
-            ech.add_rows(np.concatenate(rows, axis=0))
-        return ech
 
     # -- one graded step ------------------------------------------------
 
@@ -226,68 +223,49 @@ class GradedEngine:
         obj.counts[d] = count
         obj.done = d
 
-    def _coinv_piece(self, md, d):
-        """Monomial lifts of a coinvariant basis of piece md (module
-        generators of k[V] over A)."""
-        target = self._chains(md).index
-        c = target.size
-        marked = np.zeros(c, dtype=bool)
-        batches = []
-        for g in self._alg.gens:
-            if g.degree > d:
-                continue
-            qmd = tuple(a - b for a, b in zip(md, g.multidegree))
-            if any(q < 0 for q in qmd):
-                continue
-            mult = chains.multiplication_map(g.poly, self._chains(qmd).index, target)
-            batches.append(mult.T)
-        # d >= 1: a degree-1 generator x_{n_j,j} fits in md, so batches is not empty
-        rows = asmod(np.concatenate(batches, axis=0), self.p)
-        # iterated singleton elimination: a row with a single
-        # nonzero entry puts that unit vector in the span, so its
-        # column can be cleared from every other row
-        while True:
-            rows[:, marked] = 0
-            nnz = np.count_nonzero(rows, axis=1)
-            singles = np.nonzero(nnz == 1)[0]
-            if singles.size == 0:
-                rows = rows[nnz > 1]
-                break
-            marked[(rows[singles] != 0).argmax(axis=1)] = True
-            rows = rows[nnz > 1]
-        ech = Echelon(self.p, c)
-        ech.add_rows(rows)
-        count = c - int(marked.sum()) - ech.rank
-        marked[ech.pivcols] = True
-        polys = self._monomials(target, marked)
-        assert len(polys) == count
-        return polys
+    def _covariant_piece(self, md, d, n, gens, k):
+        """Weight <= n elements of piece md outside (A_+M)_md, the span of
+        ``_span_rows(md, d, gens, k)``: new minimal generators of M.
 
-    def _covariant_piece(self, md, d, n, gens):
-        """Weight <= n elements of piece md outside the span of (positive
-        degree invariants) * (module generators of lower degree).
-
-        With n = 1 and the algebra generators these are the new minimal
-        algebra generators: the weight <= 1 elements are the invariants.
+        With n = k = 1 and the algebra generators these are the new minimal
+        algebra generators (the weight <= 1 elements are the invariants);
+        with n = k = p and the algebra generators, monomial lifts of a
+        coinvariant basis.
         """
         pc = self._chains(md)
+        size = pc.index.size
         dim_m = pc.dim_weight_le(n)
-        ech = self._span_echelon(md, d, gens)
+        empty = np.zeros((0, size), _dtype(self.p))
+        # keep no bases or row blocks alive through the elimination
+        rows = np.concatenate([empty] + [r for *_, r in self._span_rows(md, d, gens, k)])
+        ech = Echelon(self.p, size)
+        if dim_m == size:
+            # full piece: a row with a single nonzero entry puts that unit
+            # vector in the span, so its column is cleared from every row;
+            # the monomials off those columns and the pivots are generators
+            marked = np.zeros(size, dtype=bool)
+            while True:
+                rows[:, marked] = 0
+                nnz = np.count_nonzero(rows, axis=1)
+                single = nnz == 1
+                marked[(rows[single] != 0).argmax(axis=1)] = True
+                rows = rows[nnz > 1]
+                if not single.any():
+                    break
+            ech.add_rows(rows)
+            marked[ech.pivcols] = True
+            return self._monomials(pc.index, marked)
+        # one bulk insertion: the recursive rref is much cheaper than
+        # reducing many small batches against a growing basis
+        ech.add_rows(rows)
         rank = ech.rank
         assert rank <= dim_m
         if rank == dim_m:
             return []
-        if dim_m == pc.index.size:
-            # full piece: non-pivot unit monomials are generators
-            pivots = np.zeros(pc.index.size, dtype=bool)
-            pivots[ech.pivcols] = True
-            new_polys = self._monomials(pc.index, pivots)
-        else:
-            cand = pc.weight_le_matrix(n)
-            new = ech.add_rows(cand)
-            new_polys = [pc.index.vector_to_poly(cand[i]) for i in new]
-        assert len(new_polys) == dim_m - rank
-        return new_polys
+        cand = pc.weight_le_matrix(n)
+        new = ech.add_rows(cand)
+        assert len(new) == dim_m - rank
+        return [pc.index.vector_to_poly(cand[i]) for i in new]
 
     def _gamma_bound(self) -> int:
         """Certified upper bound for gamma from the block profile of the
@@ -300,11 +278,12 @@ class GradedEngine:
         bound = self._gamma_bound()
         while self._gamma is None or self._alg.done < max(through, self.algebra_cap()):
             d = self._alg.done + 1
-            self._step(
-                self._alg, d, lambda md: self._covariant_piece(md, d, 1, self._alg.gens)
-            )
+            alg = self._alg.gens
+            self._step(self._alg, d, lambda md: self._covariant_piece(md, d, 1, alg, 1))
             if self._gamma is None:
-                self._step(self._coinv, d, lambda md: self._coinv_piece(md, d))
+                # k[V] is k[V,V_p]^G, and A_+ k[V] is the sum of g * k[V]
+                p = self.p
+                self._step(self._coinv, d, lambda md: self._covariant_piece(md, d, p, alg, p))
                 zero = self._coinv.counts[d] == 0
                 if zero or d >= bound:
                     # zero: gamma is d - 1; still nonzero at the certified
@@ -337,7 +316,7 @@ class GradedEngine:
             return
         obj = self._cov.setdefault(n, _Graded({0: 1}, self._coinv.gens[:1]))
         for d in range(obj.done + 1, need + 1):
-            self._step(obj, d, lambda md: self._covariant_piece(md, d, n, obj.gens))
+            self._step(obj, d, lambda md: self._covariant_piece(md, d, n, obj.gens, 1))
 
 
 @lru_cache(maxsize=1)
@@ -449,17 +428,17 @@ def span_coefficients(f: Polynomial, gens):
     qs = {}
     for md, comp in f.multihomogeneous_components().items():
         index = eng._chains(md).index
-        parts = eng._span_rows(md, d, lower)
-        rows = np.concatenate([np.zeros((0, index.size), np.int64)] + [r for *_, r in parts])
+        parts = eng._span_rows(md, d, lower, 1)
+        rows = np.concatenate([np.zeros((0, index.size), _dtype(eng.p))] + [r for *_, r in parts])
         x = solve_mod(rows, index.poly_to_vector(comp), eng.p)
         if x is None:
             return None
         off = 0
-        for g, qmd, inv, prod in parts:
+        for g, qmd, basis, prod in parts:
             coef = x[off : off + prod.shape[0]]
             off += prod.shape[0]
             if coef.any():
-                vec = _mm(coef[None, :], inv, eng.p)[0]
+                vec = coef if basis is None else _mm(coef[None, :], basis, eng.p)[0]
                 q = eng._chains(qmd).index.vector_to_poly(vec)
                 qs[g.poly] = qs[g.poly] + q if g.poly in qs else q
     return qs

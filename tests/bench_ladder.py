@@ -2,23 +2,26 @@
 
     python tests/bench_ladder.py BENCH_<n>.json [case ...]
 
-Runs each case (all of CASES by default) in a fresh interpreter with BLAS
-at one thread, and writes one JSON file: per case the wall time of its
-timed stages, their sum, the process's peak RSS (``ru_maxrss``) and a
-sha256 fingerprint of what it computed (generator counts, beta and gamma;
-for the rref case the rows, pivots and origins).  Two ladder files with
-equal fingerprints computed the same answers.  The modcov imported is the
+Runs each case (all of CASES by default) REPEATS times, each run in a
+fresh interpreter with BLAS at one thread; the cases take turns, one run
+of each per round.  It writes one JSON file: per case the median over the
+runs of the wall time of each timed stage, of their sum and of the
+process's peak RSS (``ru_maxrss``), the [min, max] of each under the
+``*_range`` keys, and a sha256 fingerprint of what it computed (generator
+counts, beta and gamma; for the rref case the rows, pivots and origins).
+It fails, writing nothing, when the runs of a case disagree on the
+fingerprint.  Two ladder files with equal fingerprints computed the same
+answers.  The modcov imported is the
 one in ``src/`` next to this file, so a copy of this script run from
 another checkout measures that checkout.
 
 The rref case times ``rref_mod`` on one real span piece: the rows
-``_span_echelon`` eliminates for V_4+V_3 at p = 5, multidegree (7, 4),
+``_covariant_piece`` eliminates for V_4+V_3 at p = 5, multidegree (7, 4),
 n = 3 (4,999 x 1,800, rank 1,079).  Building it (the algebra and the
 n = 3 module through degree 10) is not timed, but sets the case's peak
 RSS.
 
-Each file holds one run per case.  2V_4 at p = 5 (about 230 s and
-1.4 GB) is left out.
+2V_4 at p = 5 (about 230 s and 1.4 GB) is left out.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -48,6 +52,7 @@ CASES = {
     "rref-V4+V3-p5-md74-n3": (5, (4, 3), "rref"),
 }
 RREF_PIECE = ((7, 4), 3)  # multidegree and n of the rref case's span piece
+REPEATS = 3  # runs per case; one run's wall time can be off by half
 
 
 def _sha(obj) -> str:
@@ -80,7 +85,7 @@ class _Captured(Exception):
 
 
 def _span_piece(p, blocks):
-    """The rows ``_span_echelon`` would eliminate for RREF_PIECE."""
+    """The span rows ``_covariant_piece`` eliminates for RREF_PIECE."""
     import numpy as np
 
     from modcov import generators
@@ -89,14 +94,15 @@ def _span_piece(p, blocks):
     md, n = RREF_PIECE
     eng = generators._engine(module_spec(p, blocks))
     eng.ensure_algebra()
-    span_echelon = eng._span_echelon
+    span_rows = eng._span_rows
 
-    def capture(piece_md, d, gens):
-        if piece_md != md:
-            return span_echelon(piece_md, d, gens)
-        raise _Captured(np.concatenate([prod for *_, prod in eng._span_rows(md, d, gens)]))
+    def capture(piece_md, d, gens, k):
+        parts = span_rows(piece_md, d, gens, k)
+        if piece_md == md:
+            raise _Captured(np.concatenate([prod for *_, prod in parts]))
+        return parts
 
-    eng._span_echelon = capture
+    eng._span_rows = capture
     try:
         eng.ensure_covariant(n)
     except _Captured as got:
@@ -117,6 +123,25 @@ def _rref_case(p, blocks, what):
     digest.update(np.asarray(pivs, dtype=np.int64).tobytes())
     digest.update(np.asarray(origins, dtype=np.int64).tobytes())
     return stages, {"shape": list(m.shape), "rank": len(pivs), "rref_sha256": digest.hexdigest()}
+
+
+def _summary(runs):
+    """One case's record from its runs: medians, [min, max] ranges and the
+    fingerprint they share (None when they differ)."""
+    prints = {r["fingerprint"] for r in runs}
+
+    def spread(key, values):
+        return {key: statistics.median(values), key + "_range": [min(values), max(values)]}
+
+    stages = {k: [r["stages_s"][k] for r in runs] for k in runs[0]["stages_s"]}
+    return {
+        "runs": len(runs),
+        **spread("wall_s", [r["wall_s"] for r in runs]),
+        "stages_s": {k: statistics.median(v) for k, v in stages.items()},
+        "stages_s_range": {k: [min(v), max(v)] for k, v in stages.items()},
+        **spread("peak_rss_mb", [r["peak_rss_mb"] for r in runs]),
+        "fingerprint": prints.pop() if len(prints) == 1 else None,
+    }
 
 
 def _run_case(name):
@@ -158,19 +183,26 @@ def main(argv):
             "nproc": os.cpu_count(),
             "blas_threads": 1,
         },
-        "cases": {},
     }
-    for name in argv[1:] or CASES:
-        proc = subprocess.run(
-            [sys.executable, __file__, "--case", name],
-            env={**os.environ, **BLAS_ENV},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        record["cases"][name] = json.loads(proc.stdout.strip().splitlines()[-1])
-        case = record["cases"][name]
-        print(f"{name}: {case['wall_s']} s, {case['peak_rss_mb']} MB", file=sys.stderr)
+    names = argv[1:] or list(CASES)
+    runs = {name: [] for name in names}
+    for _ in range(REPEATS):
+        for name in names:
+            proc = subprocess.run(
+                [sys.executable, __file__, "--case", name],
+                env={**os.environ, **BLAS_ENV},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            runs[name].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+            run = runs[name][-1]
+            print(f"{name}: {run['wall_s']} s, {run['peak_rss_mb']} MB", file=sys.stderr)
+    record["cases"] = {name: _summary(r) for name, r in runs.items()}
+    differ = [name for name, case in record["cases"].items() if case["fingerprint"] is None]
+    if differ:
+        print("runs disagree on the fingerprint:", ", ".join(differ), file=sys.stderr)
+        return 1
     out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

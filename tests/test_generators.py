@@ -17,7 +17,7 @@ import modcov
 from modcov import generators
 from modcov.chains import PieceChains
 from modcov.covariants import from_weight_poly
-from modcov.fastlinalg import matmul_mod
+from modcov.fastlinalg import matmul_mod, rref_mod
 from modcov.formulas import beta_invariants_formula, coinvariant_top_degree_bound
 from modcov.generators import (
     GradedEngine,
@@ -228,6 +228,17 @@ def test_span_coefficients_constant_generator():
                 assert const * qs[const] == f
 
 
+def test_span_coefficients_on_an_all_invariant_piece():
+    # in V_2 + V_1 a piece with degree only in the trivial block is all
+    # invariant: its span basis is the monomials, read off without a product
+    v = module_spec(3, [2, 1])
+    x1, x2, y = _vars(v)
+    f = y * y * y + 2 * x2 * y * y
+    qs = span_coefficients(f, [y, x2])
+    assert sum((q * g for g, q in qs.items()), Polynomial.constant(v, 0)) == f
+    assert span_coefficients(x1 * y * y, [y, x2]) is None
+
+
 def test_span_rows_stay_int8():
     # the span of a piece is one concatenation of these blocks, so a single
     # int64 block (the degree-0 generator's rows) makes all of it int64
@@ -238,7 +249,7 @@ def test_span_rows_stay_int8():
     assert any(g.degree == 0 for g in gens)
     for d in (1, 2, 3):
         for md in _compositions(d, v.num_blocks):
-            for *_, prod in eng._span_rows(md, d, gens):
+            for *_, prod in eng._span_rows(md, d, gens, 1):
                 assert prod.dtype == np.int8
 
 
@@ -309,9 +320,9 @@ def test_orbit_pieces_get_equal_counts():
     eng.ensure_covariant(2)
     n2 = eng._cov[2]
     for obj, piece in (
-        (eng._alg, lambda md, d: eng._covariant_piece(md, d, 1, eng._alg.gens)),
-        (eng._coinv, eng._coinv_piece),
-        (n2, lambda md, d: eng._covariant_piece(md, d, 2, n2.gens)),
+        (eng._alg, lambda md, d: eng._covariant_piece(md, d, 1, eng._alg.gens, 1)),
+        (eng._coinv, lambda md, d: eng._covariant_piece(md, d, 3, eng._alg.gens, 3)),
+        (n2, lambda md, d: eng._covariant_piece(md, d, 2, n2.gens, 1)),
     ):
         for d in range(1, obj.done + 1):
             for md in _compositions(d, 2):
@@ -319,6 +330,28 @@ def test_orbit_pieces_get_equal_counts():
                 assert direct == len(piece(eng._canonical_md(md)[0], d))
                 assert direct == sum(g.multidegree == md for g in obj.gens)
         assert all(g.poly.multidegree() == g.multidegree for g in obj.gens)
+
+
+@pytest.mark.parametrize("p, blocks", [(3, [3, 3]), (5, [3, 2])])
+def test_span_duality(p, blocks):
+    # A_+M = sum over module generators h of A_+ * h = sum over algebra
+    # generators g of g * M: for M = {f : Delta^n f = 0} the rows of both
+    # forms span the same subspace of every piece through the covariant cap
+    eng = GradedEngine(module_spec(p, blocks))
+    eng.ensure_algebra()
+    cap = eng.covariant_cap()
+
+    def span_rref(md, d, gens, k):
+        empty = np.zeros((0, eng._chains(md).index.size), np.int8)
+        rows = [empty] + [prod for *_, prod in eng._span_rows(md, d, gens, k)]
+        return rref_mod(np.concatenate(rows), p)[0]
+
+    for n in range(2, p + 1):
+        eng.ensure_covariant(n)
+        for d in range(1, cap + 1):
+            for md in _compositions(d, len(blocks)):
+                alg = span_rref(md, d, eng._alg.gens, n)
+                assert np.array_equal(alg, span_rref(md, d, eng._cov[n].gens, 1))
 
 
 def test_gamma_and_covariant_beta_leave_numpy_ma_unimported():
