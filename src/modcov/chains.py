@@ -12,6 +12,16 @@ the individual Jordan blocks.  Chains are therefore built structurally:
     depends only on (p, a, b), so a chain basis of V_a (x) V_b is computed
     once per shape and instantiated for every pair of chains.
 
+A piece of multidegree (d_1, ..., d_m) indexes its monomials by one int64
+code each (``PieceIndex``): the exponents read as mixed-radix digits, base
+d_j + 1 for the variables of block j, block 1 most significant and within
+a block the last variable most significant.  In code order the monomials
+come block-major, in the Kronecker order of the single-block pieces, so
+tensor products of per-block vectors are plain Kronecker products.  No
+digit of a monomial of the piece reaches its base, so under the piece's
+weights the code of a product landing in the piece is the sum of its
+factors' codes: a multiplication map adds codes and looks them up.
+
 From a chain basis everything the generator computations need is cheap:
 invariants are the chain bottoms, polynomials of weight <= k are the
 bottom k levels, and the Jordan type is the multiset of chain lengths.
@@ -62,56 +72,22 @@ def nilpotent_chains(n_mat, p):
             new = bottoms.add_rows(cands if k == 1 else matmul_mod(cands, powers[k - 1].T, p))
         if not new:
             continue
-        levels = [cands[new].astype(np.int64)]
+        levels = [cands[new]]
         for _ in range(k - 1):
-            levels.append(matmul_mod(levels[-1], n_mat.T, p).astype(np.int64))
+            levels.append(matmul_mod(levels[-1], n_mat.T, p))
         chains.extend(np.stack(levels[::-1], axis=1))
     assert sum(c.shape[0] for c in chains) == dim
     return chains
 
 
-# -- single-block symmetric powers --------------------------------------
-
-
-class BlockPiece:
-    """Monomials of one degree in the variables of a single block, indexed."""
-
-    def __init__(self, n_vars: int, degree: int):
-        self.n_vars = n_vars
-        self.degree = degree
-        exps = np.array(list(_compositions(degree, n_vars)), dtype=np.int64)
-        base = degree + 1
-        if n_vars and float(base) ** n_vars >= 2**62:
-            raise OverflowError("piece too large to index")
-        self._base = base
-        codes = self._encode(exps)
-        order = np.argsort(codes)
-        self.exps = exps[order]
-        self.codes = codes[order]
-        self.size = self.exps.shape[0]
-
-    def _encode(self, exps):
-        if self.n_vars == 0:
-            return np.zeros(exps.shape[0], dtype=np.int64)
-        weights = self._base ** np.arange(self.n_vars, dtype=np.int64)
-        return exps.astype(np.int64) @ weights
-
-    def rank(self, exps):
-        """Indices of the given exponent rows (must belong to the piece)."""
-        codes = self._encode(np.atleast_2d(exps))
-        idx = np.searchsorted(self.codes, codes)
-        if np.any(idx >= self.size) or np.any(self.codes[np.minimum(idx, self.size - 1)] != codes):
-            raise KeyError("exponent row not in piece")
-        return idx
-
-
 @lru_cache(maxsize=None)
 def _block_delta_matrix(p: int, n: int, d: int):
-    """Delta on Sym^d of an n-dim block, in the monomial order of BlockPiece:
+    """Delta on Sym^d of an n-dim block, in code order (``PieceIndex``):
     sigma of every monomial at once, each tagged with its index, minus 1."""
-    piece = BlockPiece(n, d)
+    vspec = module_spec(p, [n])
+    piece = PieceIndex(vspec, (d,))
     ids = np.arange(piece.size)
-    exps, coefs, src = sigma_terms(module_spec(p, [n]), piece.exps, np.ones_like(ids), ids)
+    exps, coefs, src = sigma_terms(vspec, piece.exps, np.ones_like(ids), ids)
     out = -np.eye(piece.size, dtype=np.int64)
     out[piece.rank(exps), src] += coefs
     return asmod(out, p)
@@ -119,7 +95,7 @@ def _block_delta_matrix(p: int, n: int, d: int):
 
 @lru_cache(maxsize=None)
 def _block_delta_chains(p: int, n: int, d: int):
-    """Chains of Delta acting on Sym^d of an n-dim block (BlockPiece order)."""
+    """Chains of Delta acting on Sym^d of an n-dim block, in code order."""
     return nilpotent_chains(_block_delta_matrix(p, n, d), p)
 
 
@@ -148,51 +124,48 @@ def _tensor_templates(p: int, a: int, b: int):
 
 
 class PieceIndex:
-    """Monomial indexing for one multidegree piece of k[V].
+    """The monomials of one multidegree piece of k[V], sorted by code.
 
-    The flat index nests block indices block-major: a monomial
-    (m_1, ..., m_m) has index ((i_1 * c_2 + i_2) * c_3 + ...) so that
-    tensor products of per-block vectors are plain Kronecker products.
+    ``exps`` holds the exponent rows, shape (size, dim V), and ``codes``
+    their codes ``exps @ weights`` (see the module docstring).  A code
+    plus a code must fit in int64, so the piece's digit space
+    prod_j (d_j + 1)^(n_j) is bounded by 2^62 before anything is listed.
     """
 
     def __init__(self, vspec: ModuleSpec, multidegree):
         self.vspec = vspec
         self.multidegree = tuple(multidegree)
-        self.blocks = [
-            BlockPiece(n, d) for n, d in zip(vspec.blocks, self.multidegree)
-        ]
-        self.size = 1
-        for b in self.blocks:
-            self.size *= b.size
-        self._exps = None
+        weights, space = [], 1  # space: digit space of the blocks after this one
+        for n, d in zip(reversed(vspec.blocks), reversed(self.multidegree)):
+            weights[:0] = [space * (d + 1) ** i for i in range(n)]
+            space *= (d + 1) ** n
+        if space >= 2**62:
+            raise OverflowError("piece too large to index")
+        self.weights = np.array(weights, dtype=np.int64)
+        exps = np.zeros((1, 0), dtype=np.int64)
+        for n, d in zip(vspec.blocks, self.multidegree):
+            blk = np.array(list(_compositions(d, n)), dtype=np.int64)
+            exps = np.hstack([np.repeat(exps, len(blk), axis=0), np.tile(blk, (len(exps), 1))])
+        codes = exps @ self.weights
+        order = np.argsort(codes)
+        self.exps, self.codes = exps[order], codes[order]
+        self.size = len(codes)
 
     def rank(self, exps):
-        """Flat indices for exponent rows over all of V's variables."""
-        exps = np.atleast_2d(exps)
-        idx = np.zeros(exps.shape[0], dtype=np.int64)
-        off = 0
-        for bp in self.blocks:
-            idx = idx * bp.size + bp.rank(exps[:, off : off + bp.n_vars])
-            off += bp.n_vars
+        """Indices of exponent rows over all of V's variables."""
+        return self.locate(np.atleast_2d(exps) @ self.weights)
+
+    def locate(self, codes):
+        """Indices of the given codes; KeyError if one is not in the piece."""
+        idx = np.searchsorted(self.codes, codes)
+        if (self.codes.take(idx, mode="clip") != codes).any():
+            raise KeyError("monomial not in piece")
         return idx
 
-    def exponents(self):
-        """Full exponent matrix, shape (size, dim V), in index order; cached."""
-        if self._exps is None:
-            parts = [bp.exps for bp in self.blocks]
-            out = parts[0]
-            for nxt in parts[1:]:
-                left = np.repeat(out, nxt.shape[0], axis=0)
-                right = np.tile(nxt, (out.shape[0], 1))
-                out = np.concatenate([left, right], axis=1)
-            self._exps = out
-        return self._exps
-
     def vector_to_poly(self, vec) -> Polynomial:
-        exps = self.exponents()
         terms = {}
         for i in np.nonzero(vec)[0]:
-            terms[tuple(int(e) for e in exps[i])] = int(vec[i])
+            terms[tuple(int(e) for e in self.exps[i])] = int(vec[i])
         return Polynomial(self.vspec, terms)
 
     def poly_to_vector(self, f: Polynomial):
@@ -221,7 +194,7 @@ class PieceChains:
         for n, d in zip(vspec.blocks, multidegree):
             blk = _block_delta_chains(p, n, d)
             chains = blk if chains is None else _fold_tensor(chains, blk, p)
-        self.rows = asmod(np.concatenate(chains), p)
+        self.rows = np.concatenate(chains)
         lengths = np.array([c.shape[0] for c in chains])
         self.level = np.arange(self.index.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         self.above = np.repeat(lengths, lengths) - 1 - self.level
@@ -261,23 +234,22 @@ def multiplication_map(g: Polynomial, source: PieceIndex, target: PieceIndex):
 
     Exact mod p; columns indexed by source monomials.  Multidegrees must be
     compatible (target = source + multidegree of g), which holds for the
-    multihomogeneous g used by the generator computations.
+    multihomogeneous g used by the generator computations.  Then every
+    product lies in the target, so under the target's weights its code is
+    the term's code plus the source monomial's.
     """
     p = g.vspec.p
     cs, ct = source.size, target.size
     out = np.zeros((ct, cs), dtype=_dtype(p))
-    src_exps = source.exponents()
-    mons = np.array([list(m) for m in g.terms], dtype=np.int64)
+    src_codes = source.exps @ target.weights
+    term_codes = np.array(list(g.terms), dtype=np.int64).reshape(-1, g.vspec.dim) @ target.weights
     coefs = np.array([c % p for c in g.terms.values()], dtype=_dtype(p))
     cols = np.arange(cs)
     # vectorize over terms, chunked to bound the temporary
     chunk = max(1, int(2e6) // max(1, cs))
-    for t0 in range(0, mons.shape[0], chunk):
-        mm = mons[t0 : t0 + chunk]
-        shifted = (src_exps[None, :, :] + mm[:, None, :]).reshape(-1, src_exps.shape[1])
-        rows = target.rank(shifted)
+    for t0 in range(0, term_codes.size, chunk):
+        rows = target.locate(term_codes[t0 : t0 + chunk, None] + src_codes)
         # distinct terms of g never collide on (row, col): row - col
         # determines the term's exponent vector
-        flat = rows * cs + np.tile(cols, mm.shape[0])
-        out.reshape(-1)[flat] = np.repeat(coefs[t0 : t0 + chunk], cs)
+        out[rows, cols] = coefs[t0 : t0 + chunk, None]
     return out

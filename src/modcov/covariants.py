@@ -246,7 +246,7 @@ def decompose_transfer_covariant(h: Covariant, module_gens, witness=None, gamma=
         raise ValueError(f"degree {d} is not above gamma = {gamma}")
     wspec, s = h.wspec, h.support()
     if witness is None:
-        witness = delta_power_preimage(h.f1, h.vspec.p - s)  # as transfer_witness
+        witness = transfer_witness(h)
         if witness is None:
             raise ValueError("h is not a transfer covariant")
     qs = span_coefficients(witness, module_gens)

@@ -162,9 +162,8 @@ class GradedEngine:
 
     def _monomials(self, index, skip):
         """Monomials of a piece at the columns where the mask skip is False."""
-        exps = index.exponents()
         return [
-            Polynomial.from_monomial(self.vspec, [int(e) for e in exps[i]])
+            Polynomial.from_monomial(self.vspec, [int(e) for e in index.exps[i]])
             for i in np.flatnonzero(~skip)
         ]
 

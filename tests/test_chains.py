@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from modcov.chains import (
-    BlockPiece,
     PieceChains,
     PieceIndex,
     _block_delta_chains,
@@ -152,11 +151,29 @@ def test_piece_index_round_trip():
     for v in SPECS:
         for md in _compositions(3, v.num_blocks):
             idx = PieceIndex(v, md)
-            exps = idx.exponents()
+            exps = idx.exps
             assert exps.shape == (idx.size, v.dim)
             assert (idx.rank(exps) == np.arange(idx.size)).all()
             vec = np.array([rng.randrange(v.p) for _ in range(idx.size)])
             assert (idx.poly_to_vector(idx.vector_to_poly(vec)) == vec).all()
+
+
+def test_piece_index_lists_monomials_in_kronecker_order():
+    """A multi-block piece lists its monomials block-major, block 1
+    slowest, and each block's monomials with its last variable most
+    significant: the Kronecker order of its single-block pieces."""
+    for v, md in [(module_spec(5, [4, 3]), (3, 2)), (module_spec(3, [3, 2, 2]), (2, 1, 1))]:
+        blocks = [sorted(_compositions(d, n), key=lambda e: e[::-1]) for n, d in zip(v.blocks, md)]
+        for n, d, mons in zip(v.blocks, md, blocks):
+            assert [tuple(e) for e in PieceIndex(module_spec(v.p, [n]), (d,)).exps.tolist()] == mons
+        kron = [sum(parts, ()) for parts in itertools.product(*blocks)]
+        assert [tuple(e) for e in PieceIndex(v, md).exps.tolist()] == kron
+
+
+def test_piece_index_refuses_a_digit_space_over_2_62():
+    # 2^64 monomials: only a check made before listing them returns at once
+    with pytest.raises(OverflowError):
+        PieceIndex(module_spec(2, [2] * 64), (1,) * 64)
 
 
 def test_chain_vectors_satisfy_delta_chain():
@@ -210,8 +227,9 @@ def test_weight_le_matrix():
 
 def test_multiplication_map_matches_polynomial_product():
     rng = random.Random(62)
+    blocks_checked = set()
     for _ in range(25):
-        v = rng.choice(SPECS[:4])
+        v = rng.choice(SPECS[:4] + [module_spec(3, [3, 2, 2])])
         dg, ds = rng.randrange(1, 3), rng.randrange(0, 3)
         gmd = rng.choice(list(_compositions(dg, v.num_blocks)))
         smd = rng.choice(list(_compositions(ds, v.num_blocks)))
@@ -227,6 +245,8 @@ def test_multiplication_map_matches_polynomial_product():
         f = src.vector_to_poly(fvec)
         got = matmul_mod(mult, fvec[:, None], v.p)[:, 0]
         assert tgt.vector_to_poly(got) == g * f
+        blocks_checked.add(v.num_blocks)
+    assert blocks_checked == {1, 2, 3}
 
 
 # every single-block piece Sym^d(V_n) with 1 <= n <= p, d <= 2p and
@@ -243,8 +263,8 @@ BLOCK_PIECES = [
 def _block_delta_reference(p, n, d):
     """Delta on Sym^d(V_n), one monomial at a time through the term-by-term
     oracle sigma (not poly.sigma_terms, which _block_delta_matrix calls)."""
-    piece = BlockPiece(n, d)
     vspec = module_spec(p, [n])
+    piece = PieceIndex(vspec, (d,))
     out = np.zeros((piece.size, piece.size), dtype=np.int64)
     for col, mono in enumerate(piece.exps):
         f = Polynomial.from_monomial(vspec, tuple(int(e) for e in mono))
