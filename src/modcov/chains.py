@@ -4,10 +4,11 @@ The action of G preserves the per-block multidegree, and a multidegree
 piece of k[V] is the tensor product of symmetric powers of the duals of
 the individual Jordan blocks.  Chains are therefore built structurally:
 
-  * a symmetric power of a single block is small (its dimension is a
-    binomial coefficient in the block size); its Delta matrix comes from
-    one ``poly.sigma_terms`` call, and its chains from a direct
-    nilpotent-chain computation on that matrix;
+  * a symmetric power Sym^d of a single block V_n is small; its Delta
+    matrix comes from one ``poly.sigma_terms`` call.  Its chains come from
+    a dense nilpotent-chain computation up to degree p - n, and past it
+    from the norm: N times the chains of Sym^(d-p), plus chains of length
+    p on a free complement, from one elimination;
   * the chain type of a tensor product of two chains of lengths a and b
     depends only on (p, a, b), so a chain basis of V_a (x) V_b is computed
     once per shape and instantiated for every pair of chains.
@@ -35,7 +36,7 @@ import numpy as np
 
 from .fastlinalg import Echelon, _dtype, asmod, kernel_mod, matmul_mod
 from .modules import ModuleSpec, module_spec
-from .poly import Polynomial, _compositions, sigma_terms
+from .poly import Polynomial, _compositions, norm, sigma_terms
 
 
 # -- nilpotent chain decomposition (dense, small) ----------------------
@@ -95,8 +96,31 @@ def _block_delta_matrix(p: int, n: int, d: int):
 
 @lru_cache(maxsize=None)
 def _block_delta_chains(p: int, n: int, d: int):
-    """Chains of Delta acting on Sym^d of an n-dim block, in code order."""
-    return nilpotent_chains(_block_delta_matrix(p, n, d), p)
+    """Chains of Delta acting on Sym^d of an n-dim block, in code order.
+
+    Past degree p - n, division by the norm N = N(x_1) splits the piece as
+    N * Sym^(d-p) (+) R_d, R_d spanned by the monomials of x_1-degree < p.
+    N is invariant, so N times the chains of Sym^(d-p) are chains.  sigma
+    never raises the x_1-degree, so R_d is G-stable, and it is free: its
+    chains have length p, topped by its monomials off the pivots of Delta(R_d).
+    """
+    delta = _block_delta_matrix(p, n, d)
+    if d <= p - n:
+        return nilpotent_chains(delta, p)
+    piece = PieceIndex(module_spec(p, [n]), (d,))
+    top = piece.exps[:, 0] < p  # the monomials of R_d, then its chain tops
+    image = Echelon(p, piece.size)
+    image.add_rows(np.ascontiguousarray(delta.T[top]))  # Delta of each monomial of R_d
+    top[image.pivcols] = False
+    assert image.rank == np.count_nonzero(top) * (p - 1)  # R_d is free
+    levels = [np.eye(piece.size, dtype=delta.dtype)[top]]
+    for _ in range(p - 1):
+        levels.append(matmul_mod(levels[-1], delta.T, p))
+    chains = list(np.stack(levels[::-1], axis=1))
+    if d >= p:
+        mult = multiplication_map(norm(piece.vspec, 1), PieceIndex(piece.vspec, (d - p,)), piece).T
+        chains += [matmul_mod(c, mult, p) for c in _block_delta_chains(p, n, d - p)]
+    return chains
 
 
 @lru_cache(maxsize=None)
@@ -106,17 +130,11 @@ def _tensor_templates(p: int, a: int, b: int):
     Coordinates are (s, t) -> s*b + t for chain levels s < a, t < b, with
     Delta(e_s (x) f_t) = e_{s-1} f_t + e_s f_{t-1} + e_{s-1} f_{t-1}.
     """
-    dim = a * b
-    dmat = np.zeros((dim, dim), dtype=np.int64)
-    for s in range(a):
-        for t in range(b):
-            col = s * b + t
-            if s > 0:
-                dmat[(s - 1) * b + t, col] += 1
-            if t > 0:
-                dmat[s * b + (t - 1), col] += 1
-            if s > 0 and t > 0:
-                dmat[(s - 1) * b + (t - 1), col] += 1
+    idx = np.arange(a * b).reshape(a, b)
+    dmat = np.zeros((a * b, a * b), dtype=np.int64)
+    dmat[idx[:-1], idx[1:]] = 1  # column (s, t) has e_{s-1} f_t,
+    dmat[idx[:, :-1], idx[:, 1:]] = 1  # e_s f_{t-1}
+    dmat[idx[:-1, :-1], idx[1:, 1:]] = 1  # and e_{s-1} f_{t-1}
     return nilpotent_chains(dmat, p)
 
 
@@ -232,17 +250,20 @@ def _fold_tensor(left_chains, right_chains, p):
 def multiplication_map(g: Polynomial, source: PieceIndex, target: PieceIndex):
     """Dense matrix of 'multiply by g' from the source piece to the target.
 
-    Exact mod p; columns indexed by source monomials.  Multidegrees must be
-    compatible (target = source + multidegree of g), which holds for the
-    multihomogeneous g used by the generator computations.  Then every
+    Exact mod p; columns indexed by source monomials.  Every term of g must
+    have multidegree target - source (ValueError otherwise).  Then every
     product lies in the target, so under the target's weights its code is
     the term's code plus the source monomial's.
     """
-    p = g.vspec.p
+    vspec, p = g.vspec, g.vspec.p
+    terms = np.array(list(g.terms), dtype=np.int64).reshape(-1, vspec.dim)
+    shift = np.subtract(target.multidegree, source.multidegree)
+    if (np.add.reduceat(terms, np.cumsum((0,) + vspec.blocks[:-1]), axis=1) != shift).any():
+        raise ValueError("target multidegree is not source + multidegree of g")
     cs, ct = source.size, target.size
     out = np.zeros((ct, cs), dtype=_dtype(p))
     src_codes = source.exps @ target.weights
-    term_codes = np.array(list(g.terms), dtype=np.int64).reshape(-1, g.vspec.dim) @ target.weights
+    term_codes = terms @ target.weights
     coefs = np.array([c % p for c in g.terms.values()], dtype=_dtype(p))
     cols = np.arange(cs)
     # vectorize over terms, chunked to bound the temporary

@@ -197,7 +197,12 @@ class Echelon:
     def add_rows(self, m):
         """Insert rows; returns the indices of the rows of m that increased
         the rank (each independent of the span and of the earlier rows of
-        m), ordered by the pivot column each contributed, not by index."""
-        m = asmod(np.atleast_2d(m), self.p)
+        m), ordered by the pivot column each contributed, not by index.
+        Rows of ``_dtype(p)`` must lie in [0, p): checked, not reduced."""
+        m = np.atleast_2d(m)
+        if m.dtype != _dtype(self.p):
+            m = asmod(m, self.p)
+        elif m.size and (m.min() < 0 or m.max() >= self.p):
+            raise ValueError("rows of the residue dtype must lie in [0, p)")
         self.rows, self.pivcols, new, _ = _merge(self.rows, self.pivcols, m, self.p)
         return new

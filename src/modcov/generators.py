@@ -160,13 +160,6 @@ class GradedEngine:
             self._pieces[md] = chains.PieceChains(self.vspec, md)
         return self._pieces[md]
 
-    def _monomials(self, index, skip):
-        """Monomials of a piece at the columns where the mask skip is False."""
-        return [
-            Polynomial.from_monomial(self.vspec, [int(e) for e in index.exps[i]])
-            for i in np.flatnonzero(~skip)
-        ]
-
     # -- spans of lower-degree products ---------------------------------
 
     def _span_rows(self, md, d, gens, k):
@@ -253,7 +246,10 @@ class GradedEngine:
                     break
             ech.add_rows(rows)
             marked[ech.pivcols] = True
-            return self._monomials(pc.index, marked)
+            return [
+                Polynomial.from_monomial(self.vspec, [int(e) for e in pc.index.exps[i]])
+                for i in np.flatnonzero(~marked)
+            ]
         # one bulk insertion: the recursive rref is much cheaper than
         # reducing many small batches against a growing basis
         ech.add_rows(rows)
@@ -261,20 +257,19 @@ class GradedEngine:
         assert rank <= dim_m
         if rank == dim_m:
             return []
-        cand = pc.weight_le_matrix(n)
-        new = ech.add_rows(cand)
+        # the rref of M_md at the pivots the span lacks: a canonical complement
+        in_span = np.zeros(size, dtype=bool)
+        in_span[ech.pivcols] = True
+        ech.add_rows(pc.weight_le_matrix(n))
+        new = ech.rows[~in_span[ech.pivcols]]
         assert len(new) == dim_m - rank
-        return [pc.index.vector_to_poly(cand[i]) for i in new]
-
-    def _gamma_bound(self) -> int:
-        """Certified upper bound for gamma from the block profile of the
-        reduced part of V (trivial blocks do not change the coinvariants)."""
-        return formulas.coinvariant_top_degree_bound(formulas.reduce_V(self.vspec)[0])
+        return [pc.index.vector_to_poly(row) for row in new]
 
     def ensure_algebra(self, through=0):
         """Advance the algebra/coinvariant computation until gamma is known and
         the certified algebra cap (and degree ``through``) is covered."""
-        bound = self._gamma_bound()
+        # certified for the reduced part of V: trivial blocks do not change the coinvariants
+        bound = formulas.coinvariant_top_degree_bound(formulas.reduce_V(self.vspec)[0])
         while self._gamma is None or self._alg.done < max(through, self.algebra_cap()):
             d = self._alg.done + 1
             alg = self._alg.gens

@@ -15,6 +15,7 @@ row-minor order) to nonzero residues mod p.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -287,6 +288,7 @@ def is_invariant(f: Polynomial) -> bool:
     return delta(f).is_zero()
 
 
+@lru_cache(maxsize=None)
 def norm(vspec: ModuleSpec, j: int) -> Polynomial:
     """N_j: the orbit product of x_{1,j}, an invariant of degree p monic in x_{1,j}."""
     if not 1 <= j <= vspec.num_blocks:
@@ -393,10 +395,11 @@ def delta_power_preimage(g: Polynomial, k: int):
     (``chains.PieceChains``).  Delta^k maps chain level l + k onto level l,
     so a component is in the image exactly when it is a combination of the
     levels below the top k of each chain, and the same combination of the
-    levels k higher is a preimage.
+    levels k higher is a preimage, reduced modulo the rref of ker Delta^k
+    (the levels below k) so that it does not depend on the chain basis.
     """
     from . import chains
-    from .fastlinalg import matmul_mod, solve_mod
+    from .fastlinalg import Echelon, _reduce_against, matmul_mod, solve_mod
 
     if k < 0:
         raise ValueError("negative power")
@@ -408,5 +411,8 @@ def delta_power_preimage(g: Polynomial, k: int):
         x = solve_mod(low, pc.index.poly_to_vector(comp), p)
         if x is None:
             return None
-        out = out + pc.index.vector_to_poly(matmul_mod(x[None, :], high, p)[0])
+        kernel = Echelon(p, pc.index.size)
+        kernel.add_rows(pc.rows[pc.level < k])
+        f = _reduce_against(matmul_mod(x[None, :], high, p), kernel.rows, kernel.pivcols, p)
+        out = out + pc.index.vector_to_poly(f[0])
     return out

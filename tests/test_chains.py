@@ -249,6 +249,14 @@ def test_multiplication_map_matches_polynomial_product():
     assert blocks_checked == {1, 2, 3}
 
 
+def test_multiplication_map_refuses_a_target_off_the_multidegree():
+    # x_1^4 has degree 4, not 2: its code would land on the column of x_1*x_2
+    v = module_spec(3, [2])
+    with pytest.raises(ValueError):
+        x1_4 = Polynomial.variable(v, 1, 1, 4)
+        multiplication_map(x1_4, PieceIndex(v, (0,)), PieceIndex(v, (2,)))
+
+
 # every single-block piece Sym^d(V_n) with 1 <= n <= p, d <= 2p and
 # dimension <= 60, for p in {2, 3, 5, 7}: 130 pieces
 BLOCK_PIECES = [
@@ -345,3 +353,49 @@ def test_nilpotent_chains_pick_the_reference_tops_per_level():
     for m, p in cases:
         got = _chain_sets(nilpotent_chains(m, p))
         assert got == _chain_sets(_chains_by_kernel_levels(m, p))
+
+
+# every single-block piece Sym^d(V_n) past degree p - n with p <= 7 and
+# dimension <= 400: the pieces whose chains come from the norm splitting
+NORM_PIECES = [
+    (p, n, d)
+    for p in (2, 3, 5, 7)
+    for n in range(1, p + 1)
+    for d in range(p - n + 1, 6 * p)
+    if math.comb(n + d - 1, d) <= 400
+]
+
+
+def test_norm_chains_match_the_dense_route():
+    assert len(NORM_PIECES) == 275
+    for p, n, d in NORM_PIECES:
+        delta = _block_delta_matrix(p, n, d)
+        chains = _block_delta_chains(p, n, d)
+        dense = nilpotent_chains(delta, p)
+        assert sorted(c.shape[0] for c in chains) == sorted(c.shape[0] for c in dense), (p, n, d)
+        for ch in chains:
+            assert ch.dtype == _dtype(p)
+            images = matmul_mod(ch, delta.T, p)
+            assert not images[0].any() and (images[1:] == ch[:-1]).all(), (p, n, d)
+        ech = Echelon(p, delta.shape[0])
+        ech.add_rows(np.concatenate(chains))
+        assert ech.rank == delta.shape[0], (p, n, d)
+
+
+def test_block_jordan_types_follow_the_norm_periodicity():
+    """Past degree p - n, Sym^d(V_n) is N * Sym^(d-p)(V_n) plus a free
+    module: its Jordan type is that of Sym^(d-p) plus chains of length p
+    (all of them for d < p).  Checked on the ranks of the term-by-term
+    Delta, independent of both chain routes."""
+    checked = 0
+    for p, n, d in BLOCK_PIECES:
+        if d <= p - n:
+            continue
+        dim, low_dim = math.comb(n + d - 1, d), math.comb(n + d - p - 1, d - p) if d >= p else 0
+        assert (dim - low_dim) % p == 0
+        low = _jordan_type_from_ranks(_block_delta_reference(p, n, d - p), p) if d >= p else []
+        expected = sorted(low + [p] * ((dim - low_dim) // p))
+        assert _jordan_type_from_ranks(_block_delta_reference(p, n, d), p) == expected, (p, n, d)
+        assert sorted(c.shape[0] for c in _block_delta_chains(p, n, d)) == expected
+        checked += 1
+    assert checked == 78

@@ -276,7 +276,7 @@ def test_decompose_transfer_covariant_degree_guard():
 
 # sha256 of ``python tests/dump_structure.py``: (h1, h2, u) and the
 # transfer pairs of the structure benchmark cases, seeds 1..10
-STRUCTURE_SHA256 = "faae995acd40cf244a692d3ad2301f10231515a7f617170ed253943ef8827707"
+STRUCTURE_SHA256 = "07d64a6da79ce6909fbde2de80bda8b8460902d9c4ba7f655cba454388b0819b"
 
 
 def test_structure_dump_matches_recorded_hash():

@@ -162,6 +162,16 @@ def test_add_rows_returns_new_rows_by_pivot_column():
     assert ech.add_rows(np.eye(n, dtype=np.int64)[::-1]) == list(range(n - 1, -1, -1))
 
 
+def test_add_rows_checks_residue_rows_and_reduces_the_rest():
+    ech = Echelon(5, 3)
+    for bad in ([[5, 0, 0]], [[0, -1, 0]]):  # residue dtype, out of [0, p)
+        with pytest.raises(ValueError):
+            ech.add_rows(np.array(bad, dtype=_dtype(5)))
+    assert ech.rank == 0
+    assert ech.add_rows(np.array([[7, -1, 0]])) == [0]  # int64: reduced to [2, 4, 0]
+    assert ech.rows.tolist() == [[1, 2, 0]]
+
+
 def test_solve_mod_matches_oracle():
     """x @ a = b is the system a^T x = b of ``field.solve``: same answer,
     free coordinates 0, None on the same inconsistent systems."""

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import dump_engine
+import dump_structure
 import modcov
 from modcov import generators
 from modcov.chains import PieceChains
@@ -377,7 +378,7 @@ def test_gamma_and_covariant_beta_leave_numpy_ma_unimported():
 
 # sha256 of ``python tests/dump_engine.py``: its counts, caps, certificates,
 # witnesses and generators in discovery order
-DUMP_SHA256 = "f672e525b398f5f59b885cecfd20e2f09033f44d51282912f36be95089f1eb62"
+DUMP_SHA256 = "3fd64ba41117f64bb916fb6b27b7f905afeb7bb7882db18acb784916a7ef9eb3"
 
 
 def test_engine_dump_matches_recorded_hash():
@@ -386,3 +387,72 @@ def test_engine_dump_matches_recorded_hash():
     out = io.StringIO()
     dump_engine.write_dump(out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DUMP_SHA256
+
+
+def _perturb_chain_bases(monkeypatch, seed):
+    """Give every PieceChains another chain basis of its piece: each chain
+    scaled by a random unit, the chains permuted, and each chain `a` given
+    a random multiple of another chain `b`, shifted up s levels.  Level k
+    of `a` gains level k - s of `b` (nothing below s), so `a` stays a
+    Delta-chain when the top of `b` lands at or below its own:
+    s >= len(a) - len(b)."""
+    rng = random.Random(seed)
+    init = PieceChains.__init__
+
+    def perturbed(self, vspec, md):
+        init(self, vspec, md)
+        p = vspec.p
+        starts = np.flatnonzero(self.level == 0)
+        ends = starts + self.above[starts] + 1
+        chains = [
+            self.rows[s:e].astype(np.int64) * rng.randrange(1, p) for s, e in zip(starts, ends)
+        ]
+        rng.shuffle(chains)
+        for i, a in enumerate(chains):
+            j = rng.randrange(len(chains))
+            shift = rng.randrange(max(0, len(a) - len(chains[j])), len(a))
+            if j != i:
+                a[shift:] += rng.randrange(p) * chains[j][: len(a) - shift]
+        lengths = np.array([len(c) for c in chains])
+        self.rows = (np.concatenate(chains) % p).astype(self.rows.dtype)
+        self.level = np.concatenate([np.arange(n) for n in lengths])
+        self.above = np.repeat(lengths, lengths) - 1 - self.level
+
+    monkeypatch.setattr(PieceChains, "__init__", perturbed)
+
+
+def _dumps(make, args):
+    generators._engine.cache_clear()
+    try:
+        return [make(*a) for a in args]
+    finally:
+        generators._engine.cache_clear()
+
+
+def test_engine_outputs_do_not_depend_on_the_chain_basis(monkeypatch):
+    # a new generator is a row of the rref of its piece, never a chain row
+    cases = [(3, (3, 2)), (3, (2, 2, 2)), (5, (3, 2)), (5, (5,)), (7, (2, 2)), (3, (2, 1))]
+    expected = _dumps(dump_engine.dump, cases)
+    _perturb_chain_bases(monkeypatch, 64)
+    assert _dumps(dump_engine.dump, cases) == expected
+
+
+def _norm_sections(lines):
+    """The lines of the norm splittings in a structure dump."""
+    keep, out = False, []
+    for line in lines:
+        if line.startswith(" ") and not line.startswith("  "):  # a section header
+            keep = line.startswith(" norm")
+        if keep:
+            out.append(line)
+    return out
+
+
+def test_norm_splitting_does_not_depend_on_the_chain_basis(monkeypatch):
+    # u is reduced modulo ker Delta^k; the transfer pairs are not compared:
+    # span_coefficients solves in chain coordinates and follows the basis
+    seeds = [(s,) for s in range(1, 4)]
+    expected = [_norm_sections(lines) for lines in _dumps(dump_structure.dump, seeds)]
+    assert all(expected)
+    _perturb_chain_bases(monkeypatch, 65)
+    assert [_norm_sections(lines) for lines in _dumps(dump_structure.dump, seeds)] == expected
