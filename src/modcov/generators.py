@@ -5,29 +5,31 @@ Three graded objects are analyzed over A = k[V]^G:
   * the invariant algebra A itself (minimal algebra generators),
   * k[V] as an A-module (the coinvariant dimensions; the top nonzero
     degree is called gamma),
-  * the covariant module k[V,W]^G for an indecomposable W, identified
-    with { f in k[V] : Delta^n f = 0 } via its chain representation.
+  * the covariant module k[V,V_n]^G, identified via its chain
+    representation with M^(n) = { f in k[V] : Delta^n f = 0 }.
 
-In each case the count of minimal generators in degree d is
-dim(object)_d - dim(span of products with lower-degree pieces)_d, and a
-certified degree cap guarantees that no generators exist beyond it:
-max(p, m*p - dim V, gamma) for the algebra (norms, the degree bound on
-non-norm generators, and A-linearity of the transfer), and
-max(gamma, m*p - dim V) for covariant modules.
+Each is an A-module M (A_+, M^(n), or k[V] = M^(p) for the coinvariants)
+whose minimal generators of degree d span a complement of (A_+M)_d, up to
+a certified cap: max(p, m*p - dim V, gamma) for the algebra (norms, the
+bound on non-norm generators, A-linearity of the transfer) and
+max(gamma, m*p - dim V) for covariant modules.  The new generators of a
+multidegree piece are the rref rows of M_md at the pivots the span lacks.
+``_span_rows`` builds the span from either side of A_+M = (sum over
+generators h of M of A_+ h) = (sum over algebra generators g of g M): the
+first for the algebra and M^(n), with fewer rows (V_4 + V_3 at p = 5,
+n = 2: 42,408 against 76,521), the second for the coinvariants, whose rows
+are multiplication maps in monomials (189,893 against 123,493 rows).
 
-Each object is an A-module M (A_+, the weight <= n elements, or k[V] =
-k[V,V_p]^G for the coinvariants) whose minimal generators of degree d
-span a complement of (A_+M)_d.  One routine, ``_covariant_piece`` over
-``_span_rows``, computes it per multidegree piece from either side of
-A_+M = (sum over generators h of M of A_+ h) = (sum over algebra
-generators g of g M).  The algebra and the covariant modules use the
-first, with fewer rows (V_4 + V_3 at p = 5, n = 2: 42,408 against
-76,521); the coinvariants use the second, whose rows are multiplication
-maps in monomials with no product to take (189,893 against 123,493 rows).
+The M^(n) with 1 < n < p are one pass, each piece's span growing with n:
+for T_1 = {1} and T_n a complement in M^(n) of A_+M^(n) + M^(n-1),
+S_n = T_1 + ... + T_n generates M^(n), so (A_+M^(n))_d = (A_+M^(n-1))_d
++ A_+ T_n below degree d.  T_1 and T_2 make up G_2, since M^(1) = A lies
+in A_+ 1 above degree 0.  A request for one n pays for the whole pass.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -74,10 +76,7 @@ class BetaReport:
 
     def generator_degrees(self):
         """Sorted multiset of generator degrees."""
-        out = []
-        for d in sorted(self.generator_counts):
-            out.extend([d] * self.generator_counts[d])
-        return out
+        return [d for d in sorted(self.generator_counts) for _ in range(self.generator_counts[d])]
 
 
 @dataclass(frozen=True)
@@ -101,12 +100,8 @@ def _permute_poly(f: Polynomial, blockperm) -> Polynomial:
     """Relabel block variables: block t takes its exponents from block
     blockperm[t] (blocks of equal size only, an algebra automorphism
     commuting with the group action)."""
-    vspec = f.vspec
-    varmap = [var_index(vspec, i, blockperm[j - 1] + 1) for i, j in variables(vspec)]
-    terms = {}
-    for mon, c in f.terms.items():
-        terms[tuple(mon[k] for k in varmap)] = c
-    return Polynomial(vspec, terms)
+    varmap = [var_index(f.vspec, i, blockperm[j - 1] + 1) for i, j in variables(f.vspec)]
+    return Polynomial(f.vspec, {tuple(mon[k] for k in varmap): c for mon, c in f.terms.items()})
 
 
 class GradedEngine:
@@ -126,7 +121,11 @@ class GradedEngine:
         one = _Gen(0, (0,) * self.m, Polynomial.constant(vspec, 1))
         self._coinv = _Graded({0: 1}, [one])
         self._gamma = None  # known once coinvariants hit zero
-        self._cov = {}
+        # M^(1) = A is generated by 1; M^(p) = k[V] is the coinvariants' record
+        self._cov = {n: _Graded({0: 1}, [one]) for n in range(1, self.p)}
+        self._cov[self.p] = self._coinv
+        # T_n for 2 < n < p (module docstring); T_1 and T_2 make up G_2
+        self._fresh = {n: _Graded({}, []) for n in range(3, self.p)}
 
     # -- pieces ---------------------------------------------------------
 
@@ -141,19 +140,16 @@ class GradedEngine:
         agree and generators transport by relabeling; only canonical pieces
         are computed directly.
         """
-        cached = self._canon.get(md)
-        if cached is not None:
-            return cached
-        canon = list(md)
-        perm = list(range(self.m))
-        for size in set(self.vspec.blocks):
-            slots = [i for i, n in enumerate(self.vspec.blocks) if n == size]
-            for slot, t in zip(slots, sorted(slots, key=lambda i: -md[i])):
-                canon[slot] = md[t]
-                perm[t] = slot
-        result = (tuple(canon), perm)
-        self._canon[md] = result
-        return result
+        if md not in self._canon:
+            canon = list(md)
+            perm = list(range(self.m))
+            for size in set(self.vspec.blocks):
+                slots = [i for i, n in enumerate(self.vspec.blocks) if n == size]
+                for slot, t in zip(slots, sorted(slots, key=lambda i: -md[i])):
+                    canon[slot] = md[t]
+                    perm[t] = slot
+            self._canon[md] = (tuple(canon), perm)
+        return self._canon[md]
 
     def _chains(self, md) -> chains.PieceChains:
         if md not in self._pieces:
@@ -189,49 +185,56 @@ class GradedEngine:
 
     # -- one graded step ------------------------------------------------
 
-    def _step(self, obj: _Graded, d, piece_gens):
-        """Extend obj through degree d.  piece_gens(md) returns the new
-        minimal generators of a canonical piece; every other piece gets
-        relabeled copies from its canonical piece.
-
-        Generators are appended canonical pieces first, in _compositions
-        order, then the copies: witnesses and the echelon pivot choices of
-        later degrees depend on this order.
-        """
+    def _step(self, objs, d, piece_gens):
+        """Extend each of objs through degree d.  piece_gens(md) returns the
+        new generators of a canonical piece, one list per obj; every other
+        piece gets relabeled copies from its canonical piece, appended after
+        the canonical pieces (in _compositions order): witnesses depend on
+        this order."""
         mds = list(_compositions(d, self.m))
-        produced = {}  # canonical md -> new generator polynomials
-        for md in mds:
-            if self._canonical_md(md)[0] == md:
-                produced[md] = piece_gens(md)
-                obj.gens.extend(_Gen(d, md, f) for f in produced[md])
-        count = 0
-        for md in mds:
-            canon, perm = self._canonical_md(md)
-            count += len(produced[canon])
-            if canon != md:
-                obj.gens.extend(
-                    _Gen(d, md, _permute_poly(f, perm)) for f in produced[canon]
-                )
-        obj.counts[d] = count
-        obj.done = d
+        produced = {md: piece_gens(md) for md in mds if self._canonical_md(md)[0] == md}
+        for i, obj in enumerate(objs):
+            new = [_Gen(d, md, f) for md, fs in produced.items() for f in fs[i]]
+            for md in mds:
+                canon, perm = self._canonical_md(md)
+                if canon != md:
+                    new += [_Gen(d, md, _permute_poly(f, perm)) for f in produced[canon][i]]
+            obj.gens.extend(new)
+            obj.counts[d] = len(new)
+            obj.done = d
+
+    def _new_rows(self, ech, pc, n):
+        """[G, T] over the span echelon ech of piece pc (left as it is): the
+        rref rows of (span + M^(n))_md at the pivots the span lacks, the new
+        minimal generators, and at those (span + M^(n-1))_md lacks."""
+        dim_m = pc.dim_weight_le(n)
+        assert ech.rank <= dim_m
+        if ech.rank == dim_m:
+            return [pc.rows[:0]] * 2
+        lacks = np.ones((2, pc.index.size), dtype=bool)
+        lacks[0, ech.pivcols] = False
+        full = copy.copy(ech)
+        if n > 2:  # the span holds M^(0) = 0, and A_md = M^(1)_md in the pass
+            full.add_rows(pc.weight_le_matrix(n - 1))
+        lacks[1, full.pivcols] = False
+        full.add_rows(pc.rows[pc.level == n - 1])
+        new = [full.rows[lack[full.pivcols]] for lack in lacks]
+        assert len(new[0]) == dim_m - ech.rank
+        return new
 
     def _covariant_piece(self, md, d, n, gens, k):
         """Weight <= n elements of piece md outside (A_+M)_md, the span of
-        ``_span_rows(md, d, gens, k)``: new minimal generators of M.
-
-        With n = k = 1 and the algebra generators these are the new minimal
-        algebra generators (the weight <= 1 elements are the invariants);
-        with n = k = p and the algebra generators, monomial lifts of a
-        coinvariant basis.
-        """
+        ``_span_rows(md, d, gens, k)``: new minimal generators of M.  The
+        algebra takes n = k = 1 and its own generators (the invariants are
+        weight <= 1); the coinvariants take n = k = p and the algebra
+        generators, and get monomial lifts of a coinvariant basis."""
         pc = self._chains(md)
         size = pc.index.size
-        dim_m = pc.dim_weight_le(n)
         empty = np.zeros((0, size), _dtype(self.p))
         # keep no bases or row blocks alive through the elimination
         rows = np.concatenate([empty] + [r for *_, r in self._span_rows(md, d, gens, k)])
         ech = Echelon(self.p, size)
-        if dim_m == size:
+        if pc.dim_weight_le(n) == size:
             # full piece: a row with a single nonzero entry puts that unit
             # vector in the span, so its column is cleared from every row;
             # the monomials off those columns and the pivots are generators
@@ -246,24 +249,12 @@ class GradedEngine:
                     break
             ech.add_rows(rows)
             marked[ech.pivcols] = True
-            return [
-                Polynomial.from_monomial(self.vspec, [int(e) for e in pc.index.exps[i]])
-                for i in np.flatnonzero(~marked)
-            ]
+            exps = pc.index.exps[~marked]
+            return [Polynomial.from_monomial(self.vspec, e.tolist()) for e in exps]
         # one bulk insertion: the recursive rref is much cheaper than
         # reducing many small batches against a growing basis
         ech.add_rows(rows)
-        rank = ech.rank
-        assert rank <= dim_m
-        if rank == dim_m:
-            return []
-        # the rref of M_md at the pivots the span lacks: a canonical complement
-        in_span = np.zeros(size, dtype=bool)
-        in_span[ech.pivcols] = True
-        ech.add_rows(pc.weight_le_matrix(n))
-        new = ech.rows[~in_span[ech.pivcols]]
-        assert len(new) == dim_m - rank
-        return [pc.index.vector_to_poly(row) for row in new]
+        return [pc.index.vector_to_poly(row) for row in self._new_rows(ech, pc, n)[0]]
 
     def ensure_algebra(self, through=0):
         """Advance the algebra/coinvariant computation until gamma is known and
@@ -273,11 +264,11 @@ class GradedEngine:
         while self._gamma is None or self._alg.done < max(through, self.algebra_cap()):
             d = self._alg.done + 1
             alg = self._alg.gens
-            self._step(self._alg, d, lambda md: self._covariant_piece(md, d, 1, alg, 1))
+            self._step([self._alg], d, lambda md: [self._covariant_piece(md, d, 1, alg, 1)])
             if self._gamma is None:
                 # k[V] is k[V,V_p]^G, and A_+ k[V] is the sum of g * k[V]
                 p = self.p
-                self._step(self._coinv, d, lambda md: self._covariant_piece(md, d, p, alg, p))
+                self._step([self._coinv], d, lambda md: [self._covariant_piece(md, d, p, alg, p)])
                 zero = self._coinv.counts[d] == 0
                 if zero or d >= bound:
                     # zero: gamma is d - 1; still nonzero at the certified
@@ -299,18 +290,32 @@ class GradedEngine:
 
     # -- covariant modules ----------------------------------------------
 
+    def _filtration_piece(self, md, d):
+        """[G_2, G_3, T_3, G_4, T_4, ...] at canonical piece md: one echelon
+        holds (A_+M^(n))_md, and level n inserts A_+ T_n (A_+ G_2 at n = 2)."""
+        pc = self._chains(md)
+        empty = np.zeros((0, pc.index.size), _dtype(self.p))
+        ech = Echelon(self.p, pc.index.size)
+        out = []
+        for n in range(2, self.p):
+            t_n = self._fresh[n].gens if n > 2 else self._cov[2].gens
+            ech.add_rows(np.concatenate([empty] + [r for *_, r in self._span_rows(md, d, t_n, 1)]))
+            new = self._new_rows(ech, pc, n)[: 1 if n == 2 else 2]
+            out += [[pc.index.vector_to_poly(row) for row in rows] for rows in new]
+        return out
+
     def ensure_covariant(self, n: int, through=0):
-        """Generator counts for k[V,V_n]^G through max(certified cap, through)."""
+        """Generator counts for k[V,V_n]^G through max(certified cap, through).
+        For 1 < n < p, one pass fills every level (one ``done``), growing each
+        piece's span by A_+ T_n at level n, as S_n = T_1 + ... + T_n generates
+        M^(n).  A single n pays for every level; every-W runs gain."""
         need = max(self.covariant_cap(), through)
-        if n == 1 or n >= self.p:
-            # weight <= 1 cuts out A itself (generated by 1); weight <= p
-            # is no constraint at all, so the module is k[V] and its record
-            # is the coinvariants' (they vanish above gamma)
-            self._cov[n] = _Graded({0: 1}, self._coinv.gens[:1], need) if n == 1 else self._coinv
+        if not 1 < n < self.p:
             return
-        obj = self._cov.setdefault(n, _Graded({0: 1}, self._coinv.gens[:1]))
-        for d in range(obj.done + 1, need + 1):
-            self._step(obj, d, lambda md: self._covariant_piece(md, d, n, obj.gens, 1))
+        objs = [self._cov[2]]
+        objs += [obj for k in range(3, self.p) for obj in (self._cov[k], self._fresh[k])]
+        for d in range(self._cov[2].done + 1, need + 1):
+            self._step(objs, d, lambda md: self._filtration_piece(md, d))
 
 
 @lru_cache(maxsize=1)

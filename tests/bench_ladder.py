@@ -2,26 +2,29 @@
 
     python tests/bench_ladder.py BENCH_<n>.json [case ...]
 
-Runs each case (all of CASES by default) REPEATS times, each run in a
-fresh interpreter with BLAS at one thread; the cases take turns, one run
-of each per round.  It writes one JSON file: per case the median over the
-runs of the wall time of each timed stage, of their sum and of the
-process's peak RSS (``ru_maxrss``), the [min, max] of each under the
-``*_range`` keys, and a sha256 fingerprint of what it computed (generator
-counts, beta and gamma; for the rref case the rows, pivots and origins).
-It fails, writing nothing, when the runs of a case disagree on the
-fingerprint.  Two ladder files with equal fingerprints computed the same
-answers.  The modcov imported is the
-one in ``src/`` next to this file, so a copy of this script run from
-another checkout measures that checkout.
+Runs each case (all of CASES but LONG by default) REPEATS times, each
+run in a fresh interpreter with BLAS at one thread and glibc's mmap
+threshold pinned: ``ru_maxrss`` follows that threshold, which glibc
+otherwise raises as large blocks are freed.  The cases take turns, one
+run of each per round; a case in LONG runs once, and only when named.
+It writes one JSON file: per case the median over the runs of the wall
+time of each timed stage, of their sum and of the process's peak RSS
+(``ru_maxrss``), the [min, max] of each under the ``*_range`` keys, and a
+sha256 fingerprint of what it computed (generator counts, beta and gamma;
+for the rref case the rows, pivots and origins).  It fails, writing
+nothing, when the runs of a case disagree on the fingerprint.  Two ladder
+files with equal fingerprints computed the same answers.  The modcov
+imported is the one in ``src/`` next to this file, so a copy of this
+script run from another checkout measures that checkout.
 
-The rref case times ``rref_mod`` on one real span piece: the rows
-``_covariant_piece`` eliminates for V_4+V_3 at p = 5, multidegree (7, 4),
-n = 3 (4,999 x 1,800, rank 1,079).  Building it (the algebra and the
-n = 3 module through degree 10) is not timed, but sets the case's peak
-RSS.
+The rref case times ``rref_mod`` on one real span piece: the products
+``_span_rows`` gives for V_4+V_3 at p = 5, multidegree (7, 4), from the
+generators of k[V,V_3]^G below degree 11 (4,999 x 1,800, rank 1,079).
+Building it (the algebra and every covariant module through the cap) is
+not timed, but sets the case's peak RSS.
 
-2V_4 at p = 5 (about 230 s and 1.4 GB) is left out.
+The first covariant stage of an every-W case, n = 2, carries the one pass
+that computes every 1 < n < p; the later stages are lookups.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BLAS_ENV = {
     k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 }
+MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072"}  # a fixed threshold: glibc's is dynamic
 
 # name -> (p, blocks of V, what to compute); "every-w" is gamma, the
 # algebra and k[V,V_n]^G for n = 1..p, "gamma" stops after the algebra,
@@ -50,7 +54,9 @@ CASES = {
     "V4+V2-p5-every-w": (5, (4, 2), "every-w"),
     "V4+V3-p5-every-w": (5, (4, 3), "every-w"),
     "rref-V4+V3-p5-md74-n3": (5, (4, 3), "rref"),
+    "2V4-p5-every-w": (5, (4, 4), "every-w"),
 }
+LONG = {"2V4-p5-every-w"}  # minutes and over 1 GB per run
 RREF_PIECE = ((7, 4), 3)  # multidegree and n of the rref case's span piece
 REPEATS = 3  # runs per case; one run's wall time can be off by half
 
@@ -80,12 +86,9 @@ def _engine_case(p, blocks, what):
     return stages, answers
 
 
-class _Captured(Exception):
-    """Carries the span piece out of the engine run that builds it."""
-
-
 def _span_piece(p, blocks):
-    """The span rows ``_covariant_piece`` eliminates for RREF_PIECE."""
+    """The span rows of RREF_PIECE: A_+ times the module generators below
+    its degree, as ``_span_rows`` builds them."""
     import numpy as np
 
     from modcov import generators
@@ -93,21 +96,9 @@ def _span_piece(p, blocks):
 
     md, n = RREF_PIECE
     eng = generators._engine(module_spec(p, blocks))
-    eng.ensure_algebra()
-    span_rows = eng._span_rows
-
-    def capture(piece_md, d, gens, k):
-        parts = span_rows(piece_md, d, gens, k)
-        if piece_md == md:
-            raise _Captured(np.concatenate([prod for *_, prod in parts]))
-        return parts
-
-    eng._span_rows = capture
-    try:
-        eng.ensure_covariant(n)
-    except _Captured as got:
-        return got.args[0]
-    raise AssertionError(f"no span piece at multidegree {md} for n = {n}")
+    eng.ensure_covariant(n)
+    parts = eng._span_rows(md, sum(md), eng._cov[n].gens, 1)
+    return np.concatenate([prod for *_, prod in parts])
 
 
 def _rref_case(p, blocks, what):
@@ -182,15 +173,18 @@ def main(argv):
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
             "blas_threads": 1,
+            **MALLOC_ENV,
         },
     }
-    names = argv[1:] or list(CASES)
+    names = argv[1:] or [name for name in CASES if name not in LONG]
     runs = {name: [] for name in names}
-    for _ in range(REPEATS):
+    for round_ in range(REPEATS):
         for name in names:
+            if round_ and name in LONG:
+                continue
             proc = subprocess.run(
                 [sys.executable, __file__, "--case", name],
-                env={**os.environ, **BLAS_ENV},
+                env={**os.environ, **BLAS_ENV, **MALLOC_ENV},
                 capture_output=True,
                 text=True,
                 check=True,

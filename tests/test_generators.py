@@ -41,6 +41,7 @@ from modcov.poly import (
     graded_basis,
     is_invariant,
     norm,
+    var_index,
 )
 from oracle import covariant_basis
 
@@ -353,6 +354,78 @@ def test_span_duality(p, blocks):
             for md in _compositions(d, len(blocks)):
                 alg = span_rref(md, d, eng._alg.gens, n)
                 assert np.array_equal(alg, span_rref(md, d, eng._cov[n].gens, 1))
+
+
+def _rank(rows, p):
+    return len(rref_mod(np.concatenate(rows), p)[1])
+
+
+@pytest.mark.parametrize("p, blocks", [(5, (3, 2)), (7, (2, 2))])
+def test_filtration_pass_matches_the_per_level_route(p, blocks):
+    # the pass grows one span per piece across n from the T_n; the per-level
+    # route eliminates A_+ G_n for one n at a time.  Every piece through the
+    # cap gets the same generators (a canonical piece the same rows, a
+    # transported one as many), T_n completes (A_+M^(n) + M^(n-1))_md to
+    # M^(n)_md with exactly as many elements as that lacks, and level n > 2
+    # spans only from T_n (A_+ G_n would give the same span, from more rows)
+    eng = GradedEngine(module_spec(p, blocks))
+    eng.ensure_algebra()
+    used, span_rows = [], eng._span_rows
+    eng._span_rows = lambda md, d, gens, k: used.append(gens) or span_rows(md, d, gens, k)
+    eng.ensure_covariant(2)
+    eng._span_rows = span_rows
+    levels = [eng._cov[2].gens] + [eng._fresh[n].gens for n in range(3, p)]
+    assert used and all(any(gens is t_n for t_n in levels) for gens in used)
+    for n in range(2, p):
+        gens = eng._cov[n].gens
+        for d in range(1, eng.covariant_cap() + 1):
+            for md in _compositions(d, len(blocks)):
+                direct = eng._covariant_piece(md, d, n, gens, 1)
+                found = [g.poly for g in gens if g.multidegree == md]
+                if eng._canonical_md(md)[0] == md:
+                    assert direct == found
+                assert len(direct) == len(found)
+                pc = eng._chains(md)
+                span = [pc.weight_le_matrix(n - 1)]
+                span += [prod for *_, prod in eng._span_rows(md, d, gens, 1)]
+                t_n = eng._fresh[n].gens if n > 2 else gens  # T_1 and T_2 make up G_2
+                fresh = [g.poly for g in t_n if g.multidegree == md]
+                fresh = np.array([pc.index.poly_to_vector(f) for f in fresh], dtype=np.int64)
+                low = _rank(span, p)
+                top = _rank(span + [fresh.reshape(-1, pc.index.size)], p)
+                assert low + len(fresh) == top == pc.dim_weight_le(n)
+
+
+def test_covariant_levels_do_not_depend_on_request_order():
+    # the first request for any 1 < n < p fills every level through the
+    # cap, one `done` for all; asking past the cap extends them all
+    v = module_spec(5, [3, 2])
+    ascending, descending = GradedEngine(v), GradedEngine(v)
+    ascending.ensure_covariant(2)
+    cap = ascending.covariant_cap()
+    assert {ascending._cov[n].done for n in (2, 3, 4)} == {cap}
+    for n in (3, 4):
+        ascending.ensure_covariant(n)
+    for n in (4, 3, 2):
+        descending.ensure_covariant(n)
+    generators._engine.cache_clear()
+    try:
+        # sigma fixes the bottom variable x_{3,1} of V_3: f has weight 1
+        exps = [cap + 2 if k == var_index(v, 3, 1) else 0 for k in range(v.dim)]
+        f = Polynomial.from_monomial(v, exps)
+        assert is_decomposable_covariant(from_weight_poly(f, module_spec(5, [3])))
+        through = generators._engine(v)
+    finally:
+        generators._engine.cache_clear()
+    engines = (ascending, descending, through)
+    for eng, done in zip(engines, (cap, cap, cap + 2)):
+        assert {eng._cov[n].done for n in (2, 3, 4)} == {done}
+        assert {eng._fresh[n].done for n in (3, 4)} == {done}
+    for n in (2, 3, 4):
+        reports = [generators._report("m", eng._cov[n], cap, "") for eng in engines]
+        assert reports[0] == reports[1] == reports[2]
+        gens = [[g for g in eng._cov[n].gens if g.degree <= cap] for eng in engines]
+        assert gens[0] == gens[1] == gens[2]
 
 
 def test_gamma_and_covariant_beta_leave_numpy_ma_unimported():
