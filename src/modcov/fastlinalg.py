@@ -6,18 +6,21 @@ a dot product over k terms is bounded by k*(p-1)^2, and ``_check_exact``
 refuses a product whose bound k*(p-1)^2 + p reaches 2^53 (the + p leaves
 room for the reduction).  Each product is reduced once, in place, by the
 floor trick x - floor(x/p)*p (FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM
-TOMS 35, 2008) and written back to ``_dtype(p)``; only the block being
-reduced is ever float.
+TOMS 35, 2008) and written back to ``_dtype(p)``, in row chunks of at most
+``_CHUNK`` float64 elements, so the float temporaries stay bounded.
 
 Rows are inserted by one step, ``_merge``: reduce them against an rref
 (one gemm and one reduction), eliminate what is left, back-reduce the old
-rows, sort by pivot column.  ``rref_mod`` merges the bottom half of a
-matrix into the rref of its top half, ``Echelon.add_rows`` a batch into a
-growing basis.  At most ``_BASE_ROWS`` rows go to ``_rref_base``, which
-takes one whole-block step per pivot.  A row gets a pivot iff it is
-independent of the rows before it (the row rank profile).  ``solve_mod``
-(x @ a = b, free coordinates 0) and ``kernel_mod`` (right null space) are
-one ``rref_mod`` each; other modules call these, never ``rref_mod``.
+rows, sort by pivot column.  ``rref_mod`` drops the zero rows of a matrix
+and merges the bottom half into the rref of its top half,
+``Echelon.add_rows`` a batch into a growing basis.  At most ``_BASE_ROWS``
+rows go to ``_rref_base``, which delays its reductions the same way: one
+unreduced whole-block step per pivot, a row taken mod p only when it is
+read, and a dtype and a reduction period chosen from the growth bound.
+A row gets a pivot iff it is independent of the rows before it (the row
+rank profile).  ``solve_mod`` (x @ a = b, free coordinates 0) and
+``kernel_mod`` (right null space) are one ``rref_mod`` each; other modules
+call these, never ``rref_mod``.
 
 Cross-checked against the pure-Python ``field`` module in the test suite.
 """
@@ -28,6 +31,7 @@ import numpy as np
 
 _BASE_ROWS = 64  # naive elimination below this many rows
 _BLOCK = 1 << 15  # elements reduced at a time, so the temporaries stay in cache
+_CHUNK = 1 << 21  # float64 elements of a product taken at a time (16 MB)
 
 
 def _dtype(p: int):
@@ -75,48 +79,55 @@ def matmul_mod(a, b, p: int):
         return np.zeros((m, n), dtype=_dtype(p))
     bf = b.astype(np.float64)
     out = np.empty((m, n), dtype=_dtype(p))
-    step = max(1, int(2e7) // max(1, n))
+    step = max(1, _CHUNK // max(1, n))
     for r0 in range(0, m, step):
         _reduce_into(a[r0 : r0 + step].astype(np.float64) @ bf, p, out[r0 : r0 + step])
     return out
 
 
 def _reduce_against(m, rows, pivcols, p):
-    """Clear the pivot columns of ``m`` using the rref ``rows``: one gemm
-    m - m[:, pivcols] @ rows and one reduction."""
+    """Clear the pivot columns of ``m`` using the rref ``rows``:
+    m - m[:, pivcols] @ rows, one gemm and one reduction per row chunk."""
     coef = m[:, pivcols]
     if not coef.any():
         return m
     _check_exact(len(pivcols), p)
-    x = coef.astype(np.float64) @ rows.astype(np.float64)
-    np.subtract(m, x, out=x)
-    return _reduce_into(x, p, np.empty(m.shape, dtype=_dtype(p)))
+    rf = rows.astype(np.float64)
+    out = np.empty(m.shape, dtype=_dtype(p))
+    step = max(1, _CHUNK // max(1, m.shape[1]))
+    for r0 in range(0, m.shape[0], step):
+        x = coef[r0 : r0 + step].astype(np.float64) @ rf
+        _reduce_into(np.subtract(m[r0 : r0 + step], x, out=x), p, out[r0 : r0 + step])
+    return out
 
 
 def _rref_base(m, p):
-    """rref of a small block, one step per pivot.  After the rows are
-    reduced against the pivots found so far, the first nonzero row below
-    the last pivot row is the next row of the row rank profile: the rows
-    skipped are zero, so they depend on earlier rows, and stay zero.
-    Entries stay within [-(p-1)^2, p), which int16 holds for p <= 181."""
-    a = m.astype(np.int16 if p <= 181 else np.int64)
+    """rref of a block without zero rows, reduced lazily: row i is taken mod
+    p only when it is read, by then against every pivot found before it, so
+    it gets a pivot iff it is independent of the rows before it.  A pivot at
+    column c subtracts (a[:, c] mod p) * row from the whole block unreduced,
+    moving an entry by at most (p-1)^2, so k steps keep it within
+    k*(p-1)^2 + p: int16 when that is below 2^15 for k = the block's rows,
+    else int64, reduced every ``steps`` pivots, the largest k it holds."""
+    steps = (2**63 - p) // (p - 1) ** 2
+    a = m.astype(np.int16 if len(m) * (p - 1) ** 2 + p < 2**15 else np.int64)
     pivs, origs = [], []
-    i = -1
-    while True:
-        nz = np.flatnonzero(a[i + 1 :].any(axis=1))
+    for i in range(len(a)):
+        v = a[i] % p
+        nz = np.flatnonzero(v)
         if not nz.size:
-            break
-        i += 1 + int(nz[0])
-        c = int(np.flatnonzero(a[i])[0])
-        row = a[i] * pow(int(a[i, c]), p - 2, p) % p
-        hit = np.flatnonzero(a[:, c])
-        a[hit] = (a[hit] - np.outer(a[hit, c], row)) % p
+            continue
+        c = int(nz[0])
+        row = v * pow(int(v[c]), p - 2, p) % p
+        a -= (a[:, c] % p)[:, None] * row
         a[i] = row
         pivs.append(c)
         origs.append(i)
+        if len(pivs) % steps == 0:
+            a %= p
     order = np.argsort(pivs)
-    rows = a[np.array(origs, dtype=np.intp)[order]].astype(_dtype(p))
-    return rows, np.array(pivs, dtype=np.intp)[order], [origs[j] for j in order]
+    origs = np.array(origs, dtype=np.intp)[order]
+    return (a[origs] % p).astype(_dtype(p)), np.array(pivs, dtype=np.intp)[order], origs
 
 
 def _merge(rows, pivs, m, p):
@@ -146,14 +157,18 @@ def rref_mod(m, p: int):
 
 
 def _rref(m, p):
-    """``rref_mod`` of a matrix already reduced into ``_dtype(p)``."""
-    if m.shape[0] <= _BASE_ROWS:
-        return _rref_base(m, p)
-    half = m.shape[0] // 2
+    """``rref_mod`` of a matrix already reduced into ``_dtype(p)``.  Zero
+    rows are dropped first; ``keep`` maps the origins back."""
+    keep = np.flatnonzero(m.any(axis=1))
+    m = m[keep] if keep.size < len(m) else m
+    if len(m) <= _BASE_ROWS:
+        rows, pivs, origs = _rref_base(m, p)
+        return rows, pivs, keep[origs].tolist()
+    half = len(m) // 2
     top, top_pivs, top_origs = _rref(m[:half], p)
     rows, pivs, new, order = _merge(top, top_pivs, m[half:], p)
-    origs = top_origs + [half + i for i in new]
-    return rows, pivs, [origs[i] for i in order]
+    origs = keep[top_origs + [half + i for i in new]]
+    return rows, pivs, origs[order].tolist()
 
 
 def solve_mod(a, b, p: int):

@@ -256,16 +256,43 @@ def test_reduce_against_at_and_past_its_bound():
         _check_exact(2**53 - 2, 2)
 
 
-@pytest.mark.parametrize("p", (181, 191))
+@pytest.mark.parametrize("p", (23, 29, 181, 191, 32749, 2**31 - 1))
 def test_rref_base_holds_its_largest_products(p):
-    """Entries p-2 and p-1 make every elimination product near (p-1)^2,
-    the most the small-dtype base step must hold (int16 up to p = 181)."""
+    """The base step's entries fall by up to (p-1)^2 per pivot: int16 holds
+    ``_BASE_ROWS`` such steps up to p = 23, int64 past it, and at
+    p = 2^31 - 1 only two, so there the block is reduced every second
+    pivot.  Two blocks of ``_BASE_ROWS`` rows: random entries p-2 and p-1,
+    and one built so that every pivot takes exactly (p-1)^2 off the last
+    columns of every row below it: 1 on the diagonal, p-1 below it, and
+    i - 1 mod p in the last columns of row i, so they read -1 when the row
+    is reached."""
+    k = _BASE_ROWS
+    worst = np.tril(np.full((k, k + 6), p - 1), -1) + np.eye(k, k + 6, dtype=np.int64)
+    worst[:, k:] = (np.arange(k)[:, None] - 1) % p
     rng = np.random.default_rng(p)
-    m = rng.integers(p - 2, p, (_BASE_ROWS, 12))
-    rows, pivs, _ = rref_mod(m, p)
-    R, opivs, rank = field.rref(_to_fp(m, p))
-    assert list(pivs) == opivs
-    assert rows.tolist() == [R.row(r) for r in range(rank)]
+    for m in (rng.integers(p - 2, p, (k, k + 6)), worst):
+        rows, pivs, _ = rref_mod(m, p)
+        want_rows, want_pivs = _int_rref_oracle(m, p)
+        assert pivs.tolist() == want_pivs
+        assert rows.tolist() == want_rows
+
+
+def _int_rref_oracle(m, p):
+    """Gauss-Jordan on Python integers, for primes past ``field``'s 2^15:
+    the rref rows of m mod p and their pivot columns, by pivot column."""
+    rows, pivs = [], []
+    for v in m.tolist():
+        v = [x % p for x in v]
+        for b, c in zip(rows, pivs):
+            v = [(x - v[c] * y) % p for x, y in zip(v, b)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        v = [x * pow(v[c], p - 2, p) % p for x in v]
+        rows = [[(x - b[c] * y) % p for x, y in zip(b, v)] for b in rows] + [v]
+        pivs.append(c)
+    order = sorted(range(len(pivs)), key=pivs.__getitem__)
+    return [rows[i] for i in order], [pivs[i] for i in order]
 
 
 def _greedy_rref_oracle(m, p):
@@ -314,3 +341,37 @@ def test_rref_mod_matches_field_rref_and_greedy_origins(
     assert rows.tolist() == want_rows
     assert pivs.tolist() == want_pivs
     assert origins == want_origins
+
+
+@pytest.mark.parametrize("p", (5, 7))
+@pytest.mark.parametrize("layout", ("interleaved", "top-zero", "bottom-zero", "low-rank"))
+def test_rref_mod_drops_zero_rows_keeping_origins(p, layout):
+    """Wide matrices with repeated rows, and zero rows between the others,
+    or a zero half (so a whole recursion half is dropped), or rank below
+    ``_BASE_ROWS`` (so every merge past the first reduces to zero rows):
+    rows, pivots and origins as in the greedy oracle.  Inserting the rows
+    again into a full echelon adds nothing and changes nothing."""
+    rng = np.random.default_rng(p)
+    rank = 30 if layout == "low-rank" else 80
+    m = rng.integers(0, p, (300, rank)) @ rng.integers(0, p, (rank, 200)) % p
+    for i in np.flatnonzero(rng.random(300) < 0.4)[1:]:
+        m[i] = m[rng.integers(0, i)]  # repeats: zero rows once reduced
+    zero = {
+        "interleaved": slice(None, None, 2),
+        "top-zero": slice(None, 150),
+        "bottom-zero": slice(150, None),
+        "low-rank": slice(0),
+    }[layout]
+    m[zero] = 0
+    rows, pivs, origins = rref_mod(m, p)
+    want_rows, want_pivs, want_origins = _greedy_rref_oracle(m, p)
+    assert rows.tolist() == want_rows
+    assert pivs.tolist() == want_pivs
+    assert origins == want_origins
+    ech = Echelon(p, m.shape[1])
+    ech.add_rows(m)
+    ech.add_rows(np.eye(m.shape[1], dtype=np.int64))
+    full_rows, full_pivs = ech.rows.copy(), ech.pivcols.copy()
+    assert ech.add_rows(m) == []
+    assert np.array_equal(ech.rows, full_rows)
+    assert np.array_equal(ech.pivcols, full_pivs)
