@@ -11,7 +11,7 @@ the individual Jordan blocks.  Chains are therefore built structurally:
     p on a free complement, from one elimination;
   * the chain type of a tensor product of two chains of lengths a and b
     depends only on (p, a, b), so a chain basis of V_a (x) V_b is computed
-    once per shape and instantiated for every pair of chains.
+    once per shape and instantiated for all pairs of that shape at once.
 
 A piece of multidegree (d_1, ..., d_m) indexes its monomials by one int64
 code each (``PieceIndex``): the exponents read as mixed-radix digits, base
@@ -21,7 +21,8 @@ come block-major, in the Kronecker order of the single-block pieces, so
 tensor products of per-block vectors are plain Kronecker products.  No
 digit of a monomial of the piece reaches its base, so under the piece's
 weights the code of a product landing in the piece is the sum of its
-factors' codes: a multiplication map adds codes and looks them up.
+factors' codes: a multiplication map adds codes and looks them up.  A
+multiplier comes as ``Terms``, its term arrays built once.
 
 From a chain basis everything the generator computations need is cheap:
 invariants are the chain bottoms, polynomials of weight <= k are the
@@ -118,7 +119,8 @@ def _block_delta_chains(p: int, n: int, d: int):
         levels.append(matmul_mod(levels[-1], delta.T, p))
     chains = list(np.stack(levels[::-1], axis=1))
     if d >= p:
-        mult = multiplication_map(norm(piece.vspec, 1), PieceIndex(piece.vspec, (d - p,)), piece).T
+        nrm = Terms(norm(piece.vspec, 1))
+        mult = multiplication_map(nrm, PieceIndex(piece.vspec, (d - p,)), piece).T
         chains += [matmul_mod(c, mult, p) for c in _block_delta_chains(p, n, d - p)]
     return chains
 
@@ -211,11 +213,12 @@ class PieceChains:
         chains = None
         for n, d in zip(vspec.blocks, multidegree):
             blk = _block_delta_chains(p, n, d)
+            blk = np.concatenate(blk), np.array([c.shape[0] for c in blk])
             chains = blk if chains is None else _fold_tensor(chains, blk, p)
-        self.rows = np.concatenate(chains)
-        lengths = np.array([c.shape[0] for c in chains])
+        self.rows, lengths = chains
         self.level = np.arange(self.index.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         self.above = np.repeat(lengths, lengths) - 1 - self.level
+        self._dim_le = [0] + np.cumsum(np.bincount(self.level)).tolist()  # rows of level < k
         assert self.rows.shape[0] == self.index.size
 
     def block_lengths(self):
@@ -226,45 +229,67 @@ class PieceChains:
         return self.rows[self.level < k]
 
     def dim_weight_le(self, k: int) -> int:
-        return int(np.count_nonzero(self.level < k))
+        return self._dim_le[min(k, len(self._dim_le) - 1)]
 
 
-def _fold_tensor(left_chains, right_chains, p):
-    """Chains of (span of left_chains) (x) (span of right_chains)."""
-    out = []
-    for lc in left_chains:
-        a, c1 = lc.shape
-        for rc in right_chains:
-            b, c2 = rc.shape
-            for tmpl in _tensor_templates(p, a, b):
-                # sum_{s,t} tv[s*b+t] * (lc[s] (x) rc[t]) for every template
-                # vector tv at once: contract t against rc, then s against lc
-                # on the transposed middle; matmul_mod checks each is exact
-                levels = tmpl.shape[0]
-                mid = matmul_mod(tmpl.reshape(-1, b), rc, p).reshape(levels, a, c2)
-                big = matmul_mod(lc.T, mid.transpose(1, 0, 2).reshape(a, -1), p)
-                out.append(big.reshape(c1, levels, c2).transpose(1, 0, 2).reshape(levels, -1))
-    return out
+def _fold_tensor(left, right, p):
+    """Chains of (span of left) (x) (span of right), as (rows, lengths): per
+    left chain lc, right chain rc and template of their lengths (a, b), in
+    that order, sum_{s,t} tv[s*b+t] * (lc[s] (x) rc[t]) per template vector
+    tv, batched by (a, b): two products for all chains of those lengths."""
+    (lrows, llen), (rrows, rlen) = left, right
+    c1, c2 = lrows.shape[1], rrows.shape[1]
+    lstart, rstart = np.cumsum(llen) - llen, np.cumsum(rlen) - rlen
+    out = np.empty((c1 * c2, c1, c2), dtype=lrows.dtype)
+    for a in sorted(set(llen.tolist())):
+        li = np.flatnonzero(llen == a)
+        lmat = lrows[lstart[li, None] + np.arange(a)].transpose(0, 2, 1).reshape(-1, a)
+        for b in sorted(set(rlen.tolist())):
+            ri = np.flatnonzero(rlen == b)
+            tv = np.concatenate(_tensor_templates(p, a, b)).reshape(-1, b)  # rows (vector, s)
+            rmat = rrows[rstart[ri, None] + np.arange(b)].transpose(1, 0, 2).reshape(b, -1)
+            mid = matmul_mod(tv, rmat, p).reshape(a * b, a, -1).transpose(1, 0, 2).reshape(a, -1)
+            big = matmul_mod(lmat, mid, p).reshape(len(li), c1, a * b, len(ri), c2)
+            at = lstart[li, None] * c2 + a * rstart[ri]  # the first row of each pair's chains
+            out[at[:, :, None] + np.arange(a * b)] = big.transpose(0, 3, 2, 1, 4)
+    templates = [_tensor_templates(p, a, b) for a in llen.tolist() for b in rlen.tolist()]
+    lengths = [len(t) for pair in templates for t in pair]
+    return out.reshape(c1 * c2, -1), np.array(lengths)
 
 
-def multiplication_map(g: Polynomial, source: PieceIndex, target: PieceIndex):
+class Terms:
+    """A nonzero multihomogeneous polynomial ``poly`` and its term arrays,
+    built once: exponent rows ``exps`` (read from poly, or given in its term
+    order), residues ``coefs``, ``multidegree`` (checked) and ``degree``."""
+
+    def __init__(self, f: Polynomial, exps=None):
+        if exps is None:
+            exps = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.vspec.dim)
+        mds = np.add.reduceat(exps, np.cumsum((0,) + f.vspec.blocks[:-1]), axis=1)
+        if not len(mds) or (mds != mds[0]).any():
+            raise ValueError("polynomial is zero or not multihomogeneous")
+        self.poly, self.exps, self.multidegree = f, exps, tuple(mds[0].tolist())
+        self.coefs = np.array(list(f.terms.values()), dtype=_dtype(f.vspec.p))
+        self.degree = sum(self.multidegree)
+
+    def __eq__(self, other):
+        return self.poly == other.poly
+
+
+def multiplication_map(g: Terms, source: PieceIndex, target: PieceIndex):
     """Dense matrix of 'multiply by g' from the source piece to the target.
 
-    Exact mod p; columns indexed by source monomials.  Every term of g must
-    have multidegree target - source (ValueError otherwise).  Then every
-    product lies in the target, so under the target's weights its code is
-    the term's code plus the source monomial's.
+    Exact mod p; columns indexed by source monomials.  g must have
+    multidegree target - source (ValueError otherwise).  Then every product
+    lies in the target, so under the target's weights its code is the
+    term's code plus the source monomial's.
     """
-    vspec, p = g.vspec, g.vspec.p
-    terms = np.array(list(g.terms), dtype=np.int64).reshape(-1, vspec.dim)
-    shift = np.subtract(target.multidegree, source.multidegree)
-    if (np.add.reduceat(terms, np.cumsum((0,) + vspec.blocks[:-1]), axis=1) != shift).any():
+    if g.multidegree != tuple(t - s for t, s in zip(target.multidegree, source.multidegree)):
         raise ValueError("target multidegree is not source + multidegree of g")
     cs, ct = source.size, target.size
-    out = np.zeros((ct, cs), dtype=_dtype(p))
+    out = np.zeros((ct, cs), dtype=_dtype(target.vspec.p))
     src_codes = source.exps @ target.weights
-    term_codes = terms @ target.weights
-    coefs = np.array([c % p for c in g.terms.values()], dtype=_dtype(p))
+    term_codes = g.exps @ target.weights
     cols = np.arange(cs)
     # vectorize over terms, chunked to bound the temporary
     chunk = max(1, int(2e6) // max(1, cs))
@@ -272,5 +297,5 @@ def multiplication_map(g: Polynomial, source: PieceIndex, target: PieceIndex):
         rows = target.locate(term_codes[t0 : t0 + chunk, None] + src_codes)
         # distinct terms of g never collide on (row, col): row - col
         # determines the term's exponent vector
-        out[rows, cols] = coefs[t0 : t0 + chunk, None]
+        out[rows, cols] = g.coefs[t0 : t0 + chunk, None]
     return out

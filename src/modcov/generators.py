@@ -19,6 +19,10 @@ generators h of M of A_+ h) = (sum over algebra generators g of g M): the
 first for the algebra and M^(n), with fewer rows (V_4 + V_3 at p = 5,
 n = 2: 42,408 against 76,521), the second for the coinvariants, whose rows
 are multiplication maps in monomials (189,893 against 123,493 rows).
+The algebra's span (A_+^2)_d takes only generators g with 2 deg g <= d: a
+product of two or more generators has a factor g of least degree, so
+2 deg g <= d, times A_(d - deg g); same span, same rref rows.  Not so for
+M^(n) or the coinvariants: a module generator cannot trade places with g.
 
 The M^(n) with 1 < n < p are one pass, each piece's span growing with n:
 for T_1 = {1} and T_n a complement in M^(n) of A_+M^(n) + M^(n-1),
@@ -79,13 +83,6 @@ class BetaReport:
         return [d for d in sorted(self.generator_counts) for _ in range(self.generator_counts[d])]
 
 
-@dataclass(frozen=True)
-class _Gen:
-    degree: int
-    multidegree: tuple
-    poly: Polynomial
-
-
 @dataclass
 class _Graded:
     """One graded object as computed so far: generator counts by degree,
@@ -96,12 +93,14 @@ class _Graded:
     done: int = 0
 
 
-def _permute_poly(f: Polynomial, blockperm) -> Polynomial:
-    """Relabel block variables: block t takes its exponents from block
-    blockperm[t] (blocks of equal size only, an algebra automorphism
-    commuting with the group action)."""
-    varmap = [var_index(f.vspec, i, blockperm[j - 1] + 1) for i, j in variables(f.vspec)]
-    return Polynomial(f.vspec, {tuple(mon[k] for k in varmap): c for mon, c in f.terms.items()})
+def _transport(g: chains.Terms, blockperm) -> chains.Terms:
+    """g relabeled: block t takes its exponents from block blockperm[t]
+    (blocks of equal size only, an algebra automorphism commuting with the
+    group action).  The exponent columns move; the term order stays."""
+    vspec = g.poly.vspec
+    exps = g.exps[:, [var_index(vspec, i, blockperm[j - 1] + 1) for i, j in variables(vspec)]]
+    f = Polynomial(vspec, dict(zip(map(tuple, exps.tolist()), g.coefs.tolist())))
+    return chains.Terms(f, exps)
 
 
 class GradedEngine:
@@ -118,7 +117,7 @@ class GradedEngine:
         # algebra generators and k[V] over A (the coinvariants), extended
         # together degree by degree; covariant modules k[V,V_n]^G by n
         self._alg = _Graded({}, [])
-        one = _Gen(0, (0,) * self.m, Polynomial.constant(vspec, 1))
+        one = chains.Terms(Polynomial.constant(vspec, 1))
         self._coinv = _Graded({0: 1}, [one])
         self._gamma = None  # known once coinvariants hit zero
         # M^(1) = A is generated by 1; M^(p) = k[V] is the coinvariants' record
@@ -178,7 +177,7 @@ class GradedEngine:
             if g.degree == 0 and basis is not None:  # a nonzero constant c: c * basis
                 prod = asmod(basis.astype(np.int64) * next(iter(g.poly.terms.values())), self.p)
             else:
-                mult = chains.multiplication_map(g.poly, pc.index, target).T
+                mult = chains.multiplication_map(g, pc.index, target).T
                 prod = mult if basis is None else _mm(basis, mult, self.p)
             out.append((g, qmd, basis, prod))
         return out
@@ -192,13 +191,14 @@ class GradedEngine:
         the canonical pieces (in _compositions order): witnesses depend on
         this order."""
         mds = list(_compositions(d, self.m))
-        produced = {md: piece_gens(md) for md in mds if self._canonical_md(md)[0] == md}
+        produced = {md: [[chains.Terms(f) for f in fs] for fs in piece_gens(md)]
+                    for md in mds if self._canonical_md(md)[0] == md}
         for i, obj in enumerate(objs):
-            new = [_Gen(d, md, f) for md, fs in produced.items() for f in fs[i]]
+            new = [g for gs in produced.values() for g in gs[i]]
             for md in mds:
                 canon, perm = self._canonical_md(md)
                 if canon != md:
-                    new += [_Gen(d, md, _permute_poly(f, perm)) for f in produced[canon][i]]
+                    new += [_transport(g, perm) for g in produced[canon][i]]
             obj.gens.extend(new)
             obj.counts[d] = len(new)
             obj.done = d
@@ -264,7 +264,8 @@ class GradedEngine:
         while self._gamma is None or self._alg.done < max(through, self.algebra_cap()):
             d = self._alg.done + 1
             alg = self._alg.gens
-            self._step([self._alg], d, lambda md: [self._covariant_piece(md, d, 1, alg, 1)])
+            half = [g for g in alg if 2 * g.degree <= d]  # they span (A_+^2)_d: module docstring
+            self._step([self._alg], d, lambda md: [self._covariant_piece(md, d, 1, half, 1)])
             if self._gamma is None:
                 # k[V] is k[V,V_p]^G, and A_+ k[V] is the sum of g * k[V]
                 p = self.p
@@ -422,8 +423,7 @@ def span_coefficients(f: Polynomial, gens):
         raise ValueError("input must be homogeneous")
     eng = _engine(f.vspec)
     d = f.total_degree()
-    lower = [_Gen(g.total_degree(), g.multidegree(), g) for g in gens
-             if not g.is_zero() and g.total_degree() < d]
+    lower = [chains.Terms(g) for g in gens if not g.is_zero() and g.total_degree() < d]
     qs = {}
     for md, comp in f.multihomogeneous_components().items():
         index = eng._chains(md).index

@@ -6,16 +6,24 @@ vectorized ``poly.sigma_terms`` the package computes with.  The dense
 oracles write sigma as a full matrix, on W or on a total-degree piece of
 k[V], and eliminate with the pure-Python ``modcov.field``: independent of
 the chain bases and the numpy elimination, so the tests can cross-check
-the two.
+the two.  ``fold_tensor_by_triples`` is the tensor fold one (left chain,
+right chain, template) triple at a time, two small products each: the
+reference for the batched ``chains._fold_tensor``; ``permute_poly`` relabels
+block variables one term at a time, the reference for
+``generators._transport``.
 """
 
 from collections import Counter
 from functools import lru_cache
 
+import numpy as np
+
+from modcov.chains import PieceIndex, _block_delta_chains, _tensor_templates
 from modcov.covariants import Covariant
+from modcov.fastlinalg import matmul_mod
 from modcov.field import FpMatrix, kernel_basis, rref
 from modcov.modules import ModuleSpec, sigma_on_w
-from modcov.poly import Polynomial, _operator_matrix, graded_basis, variables
+from modcov.poly import Polynomial, _operator_matrix, graded_basis, var_index, variables
 
 
 @lru_cache(maxsize=None)
@@ -50,6 +58,13 @@ def apply_sigma_by_terms(f: Polynomial) -> Polynomial:
                 term = term * _sigma_var_image(vspec, i, j, e)
         out = out + term
     return out
+
+
+def permute_poly(f: Polynomial, blockperm) -> Polynomial:
+    """Relabel block variables term by term: block t takes its exponents
+    from block blockperm[t]."""
+    varmap = [var_index(f.vspec, i, blockperm[j - 1] + 1) for i, j in variables(f.vspec)]
+    return Polynomial(f.vspec, {tuple(mon[k] for k in varmap): c for mon, c in f.terms.items()})
 
 
 def orbit_sum(f: Polynomial) -> Polynomial:
@@ -163,3 +178,35 @@ def covariant_basis(vspec: ModuleSpec, wspec: ModuleSpec, d: int) -> list:
                 comps[i] = comps[i] + Polynomial.from_monomial(vspec, m, c)
         out.append(Covariant(vspec, wspec, comps))
     return out
+
+
+def fold_tensor_by_triples(left_chains, right_chains, p):
+    """Chains of (span of left_chains) (x) (span of right_chains), each a
+    list of chain arrays: one template at a time for each pair of chains."""
+    out = []
+    for lc in left_chains:
+        a, c1 = lc.shape
+        for rc in right_chains:
+            b, c2 = rc.shape
+            for tmpl in _tensor_templates(p, a, b):
+                # sum_{s,t} tv[s*b+t] * (lc[s] (x) rc[t]) for every template
+                # vector tv at once: contract t against rc, then s against lc
+                # on the transposed middle
+                levels = tmpl.shape[0]
+                mid = matmul_mod(tmpl.reshape(-1, b), rc, p).reshape(levels, a, c2)
+                big = matmul_mod(lc.T, mid.transpose(1, 0, 2).reshape(a, -1), p)
+                out.append(big.reshape(c1, levels, c2).transpose(1, 0, 2).reshape(levels, -1))
+    return out
+
+
+def piece_chains_by_triples(vspec: ModuleSpec, multidegree):
+    """(rows, level, above) of a piece's chain basis, as ``PieceChains``
+    lays it out, from the block chains folded by ``fold_tensor_by_triples``."""
+    chains = None
+    for n, d in zip(vspec.blocks, multidegree):
+        blk = _block_delta_chains(vspec.p, n, d)
+        chains = blk if chains is None else fold_tensor_by_triples(chains, blk, vspec.p)
+    lengths = np.array([c.shape[0] for c in chains])
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    level = np.arange(PieceIndex(vspec, multidegree).size) - starts
+    return np.concatenate(chains), level, np.repeat(lengths, lengths) - 1 - level

@@ -12,6 +12,7 @@ import pytest
 from modcov.chains import (
     PieceChains,
     PieceIndex,
+    Terms,
     _block_delta_chains,
     _block_delta_matrix,
     _tensor_templates,
@@ -30,7 +31,7 @@ from modcov.poly import (
     is_invariant,
     weight,
 )
-from oracle import apply_sigma_by_terms, graded_piece_block_structure
+from oracle import apply_sigma_by_terms, graded_piece_block_structure, piece_chains_by_triples
 
 SPECS = [
     module_spec(2, [2]),
@@ -240,7 +241,7 @@ def test_multiplication_map_matches_polynomial_product():
         g = gidx.vector_to_poly(gvec)
         if g.is_zero():
             continue
-        mult = multiplication_map(g, src, tgt)
+        mult = multiplication_map(Terms(g), src, tgt)
         fvec = np.array([rng.randrange(v.p) for _ in range(src.size)])
         f = src.vector_to_poly(fvec)
         got = matmul_mod(mult, fvec[:, None], v.p)[:, 0]
@@ -252,9 +253,48 @@ def test_multiplication_map_matches_polynomial_product():
 def test_multiplication_map_refuses_a_target_off_the_multidegree():
     # x_1^4 has degree 4, not 2: its code would land on the column of x_1*x_2
     v = module_spec(3, [2])
+    x1_4 = Terms(Polynomial.variable(v, 1, 1, 4))
     with pytest.raises(ValueError):
-        x1_4 = Polynomial.variable(v, 1, 1, 4)
         multiplication_map(x1_4, PieceIndex(v, (0,)), PieceIndex(v, (2,)))
+
+
+def test_terms_refuse_a_polynomial_that_is_not_multihomogeneous():
+    # x*x + x*y is homogeneous but has multidegrees (2, 0) and (1, 1)
+    v = module_spec(3, [2, 2])
+    x, y = Polynomial.variable(v, 1, 1), Polynomial.variable(v, 1, 2)
+    for f in (x * x + x * y, x + x * x, Polynomial.zero(v)):
+        with pytest.raises(ValueError):
+            Terms(f)
+    f = x * y + Polynomial.variable(v, 2, 1) * y
+    t = Terms(f)
+    assert (t.multidegree, t.degree) == ((1, 1), 2)
+    assert t.exps.tolist() == [list(m) for m in f.terms]
+    assert t.coefs.tolist() == list(f.terms.values())
+
+
+# V's with a trivial block V_1, a free block V_p and three blocks
+FOLD_SPECS = [
+    module_spec(2, [2, 1, 2]),
+    module_spec(3, [3, 1, 2]),
+    module_spec(3, [2, 2, 3]),
+    module_spec(5, [5, 1]),
+    module_spec(5, [5, 1, 2]),
+    module_spec(7, [3, 2]),
+]
+
+
+@pytest.mark.parametrize("v", FOLD_SPECS, ids=str)
+def test_batched_fold_matches_the_per_triple_fold(v):
+    # every piece through degree 2p gets the same chain basis, byte for
+    # byte, as folding one (left chain, right chain, template) at a time
+    for d in range(2 * v.p + 1):
+        for md in _compositions(d, v.num_blocks):
+            pc = PieceChains(v, md)
+            rows, level, above = piece_chains_by_triples(v, md)
+            assert pc.rows.dtype == rows.dtype
+            assert np.array_equal(pc.rows, rows)
+            assert np.array_equal(pc.level, level)
+            assert np.array_equal(pc.above, above)
 
 
 # every single-block piece Sym^d(V_n) with 1 <= n <= p, d <= 2p and

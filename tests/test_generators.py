@@ -16,13 +16,13 @@ import dump_engine
 import dump_structure
 import modcov
 from modcov import generators
-from modcov.chains import PieceChains
+from modcov.chains import PieceChains, Terms
 from modcov.covariants import from_weight_poly
-from modcov.fastlinalg import matmul_mod, rref_mod
+from modcov.fastlinalg import Echelon, matmul_mod, rref_mod
 from modcov.formulas import beta_invariants_formula, coinvariant_top_degree_bound
 from modcov.generators import (
     GradedEngine,
-    _permute_poly,
+    _transport,
     algebra_beta,
     coinvariants_dims,
     covariant_beta,
@@ -43,7 +43,7 @@ from modcov.poly import (
     norm,
     var_index,
 )
-from oracle import covariant_basis
+from oracle import covariant_basis, permute_poly
 
 
 def _vars(vspec):
@@ -312,7 +312,69 @@ def test_canonical_md_orbit_transport(blocks):
                 assert canon[perm[t]] == md[t]
             for mon in graded_basis(v, multidegree=canon):
                 f = Polynomial.from_monomial(v, mon)
-                assert _permute_poly(f, perm).multidegree() == md
+                assert _transport(Terms(f), perm).multidegree == md
+
+
+def _same_terms(got, want):
+    return (
+        got.poly == want.poly
+        and (got.degree, got.multidegree) == (want.degree, want.multidegree)
+        and got.exps.dtype == want.exps.dtype and np.array_equal(got.exps, want.exps)
+        and got.coefs.dtype == want.coefs.dtype and np.array_equal(got.coefs, want.coefs)
+    )
+
+
+def test_generators_carry_the_term_arrays_of_their_polynomial():
+    # a transported generator permutes the exponent columns of its canonical
+    # generator's arrays: its polynomial is the term-by-term relabeling, and
+    # its arrays are those read from that polynomial
+    eng = GradedEngine(module_spec(3, [3, 3, 2]))
+    eng.ensure_covariant(2)
+    transported = 0
+    for obj in (eng._alg, eng._coinv, eng._cov[2]):
+        for g in obj.gens:
+            assert _same_terms(g, Terms(g.poly))
+            assert g.degree == sum(g.multidegree) and g.multidegree == g.poly.multidegree()
+            transported += eng._canonical_md(g.multidegree)[0] != g.multidegree
+            moved = _transport(g, [1, 0, 2])  # swap the two V_3 blocks
+            assert _same_terms(moved, Terms(permute_poly(g.poly, [1, 0, 2])))
+    assert transported > 50
+
+
+@pytest.mark.parametrize(
+    "p, blocks", [(2, (2, 2, 1)), (3, (3, 2)), (3, (2, 1)), (5, (3, 2)), (5, (4, 1)), (7, (2, 2))]
+)
+def test_algebra_spans_from_generators_up_to_half_the_degree(p, blocks):
+    # (A_+^2)_d is spanned by g * A_(d - deg g) over the generators g with
+    # 2 deg g <= d: on every canonical piece through the algebra cap the
+    # rows ensure_algebra spans from give the echelon of all lower generators
+    eng = GradedEngine(module_spec(p, blocks))
+    calls, piece = [], eng._covariant_piece
+
+    def spy(md, d, n, gens, k):
+        if n == 1:
+            calls.append((md, d, list(gens)))
+        return piece(md, d, n, gens, k)
+
+    eng._covariant_piece = spy
+    eng.ensure_algebra()
+    cap = eng.algebra_cap()
+    canonical = [
+        (md, d) for d in range(1, cap + 1) for md in _compositions(d, len(blocks))
+        if eng._canonical_md(md)[0] == md
+    ]
+    assert [(md, d) for md, d, _ in calls][: len(canonical)] == canonical
+
+    def echelon(md, d, gens):
+        ech = Echelon(p, eng._chains(md).index.size)
+        ech.add_rows(np.concatenate([ech.rows] + [r for *_, r in eng._span_rows(md, d, gens, 1)]))
+        return ech
+
+    for md, d, gens in calls:
+        half = echelon(md, d, gens)
+        full = echelon(md, d, [g for g in eng._alg.gens if g.degree < d])
+        assert np.array_equal(half.rows, full.rows)
+        assert np.array_equal(half.pivcols, full.pivcols)
 
 
 def test_orbit_pieces_get_equal_counts():
