@@ -31,13 +31,14 @@ bottom k levels, and the Jordan type is the multiset of chain lengths.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import itertools
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fastlinalg import Echelon, _dtype, asmod, kernel_mod, matmul_mod
+from .fastlinalg import Echelon, _dtype, asmod, kernel_mod, matmul_mod, rref_mod
 from .modules import ModuleSpec, module_spec
-from .poly import Polynomial, _compositions, norm, sigma_terms
+from .poly import Polynomial, norm, sigma_terms
 
 
 # -- nilpotent chain decomposition (dense, small) ----------------------
@@ -60,20 +61,25 @@ def nilpotent_chains(n_mat, p):
             raise ValueError("matrix is not nilpotent")
         powers.append(matmul_mod(powers[-1], n_mat, p))
     top_len = len(powers) - 1  # N^top_len = 0
+    # r_k = rank N^k: im N^(k+1) lies in im N^k, so the block of N^k in the row rank
+    # profile of the columns of N^(top_len-1), ..., N^1, stacked, holds r_k - r_(k+1) rows
+    stack = [np.zeros((0, dim), n_mat.dtype)] + [powers[k].T for k in range(top_len - 1, 0, -1)]
+    block = np.array(rref_mod(np.concatenate(stack), p)[2], dtype=np.intp) // dim
+    ranks = [dim, *np.cumsum(np.bincount(block, minlength=top_len - 1))[::-1].tolist(), 0, 0]
     # N^(k-1) maps ker N^k onto the bottoms of the chains of length >= k,
     # with kernel ker N^(k-1); so v in ker N^k tops a new chain exactly
     # when its bottom N^(k-1) v is independent of the bottoms chosen so far
     bottoms = Echelon(p, dim)
     chains = []
     for k in range(top_len, 0, -1):
+        if ranks[k - 1] - 2 * ranks[k] + ranks[k + 1] == 0:
+            continue  # r_(k-1) - 2r_k + r_(k+1) chains have length k: none
         if k == top_len:  # N^k = 0: ker N^k has the basis I, with bottoms (N^(k-1))^T
             cands = np.eye(dim, dtype=n_mat.dtype)
             new = bottoms.add_rows(cands if k == 1 else np.ascontiguousarray(powers[k - 1].T))
         else:
             cands = kernel_mod(powers[k], p)
             new = bottoms.add_rows(cands if k == 1 else matmul_mod(cands, powers[k - 1].T, p))
-        if not new:
-            continue
         levels = [cands[new]]
         for _ in range(k - 1):
             levels.append(matmul_mod(levels[-1], n_mat.T, p))
@@ -164,7 +170,9 @@ class PieceIndex:
         self.weights = np.array(weights, dtype=np.int64)
         exps = np.zeros((1, 0), dtype=np.int64)
         for n, d in zip(vspec.blocks, self.multidegree):
-            blk = np.array(list(_compositions(d, n)), dtype=np.int64)
+            # compositions of d into n parts: the gaps between n - 1 bars in d + n - 1 slots
+            bars = np.array(list(itertools.combinations(range(d + n - 1), n - 1)), dtype=np.int64)
+            blk = np.diff(bars, axis=1, prepend=-1, append=d + n - 1) - 1
             exps = np.hstack([np.repeat(exps, len(blk), axis=0), np.tile(blk, (len(exps), 1))])
         codes = exps @ self.weights
         order = np.argsort(codes)
@@ -224,9 +232,14 @@ class PieceChains:
     def block_lengths(self):
         return sorted((self.above[self.level == 0] + 1).tolist(), reverse=True)
 
+    @cached_property
+    def _invariants(self):
+        return self.rows[self.level == 0]
+
     def weight_le_matrix(self, k: int):
-        """Rows: a basis of { f : Delta^k f = 0 } (bottom k chain levels)."""
-        return self.rows[self.level < k]
+        """Rows: a basis of { f : Delta^k f = 0 } (bottom k chain levels);
+        for k = 1, which every span reads, one copy kept: do not write to it."""
+        return self._invariants if k == 1 else self.rows[self.level < k]
 
     def dim_weight_le(self, k: int) -> int:
         return self._dim_le[min(k, len(self._dim_le) - 1)]
@@ -259,21 +272,17 @@ def _fold_tensor(left, right, p):
 
 class Terms:
     """A nonzero multihomogeneous polynomial ``poly`` and its term arrays,
-    built once: exponent rows ``exps`` (read from poly, or given in its term
-    order), residues ``coefs``, ``multidegree`` (checked) and ``degree``."""
+    built once: exponent rows ``exps`` and residues ``coefs`` in its term
+    order, ``multidegree`` (checked) and ``degree``."""
 
-    def __init__(self, f: Polynomial, exps=None):
-        if exps is None:
-            exps = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.vspec.dim)
+    def __init__(self, f: Polynomial):
+        exps = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.vspec.dim)
         mds = np.add.reduceat(exps, np.cumsum((0,) + f.vspec.blocks[:-1]), axis=1)
         if not len(mds) or (mds != mds[0]).any():
             raise ValueError("polynomial is zero or not multihomogeneous")
         self.poly, self.exps, self.multidegree = f, exps, tuple(mds[0].tolist())
         self.coefs = np.array(list(f.terms.values()), dtype=_dtype(f.vspec.p))
         self.degree = sum(self.multidegree)
-
-    def __eq__(self, other):
-        return self.poly == other.poly
 
 
 def multiplication_map(g: Terms, source: PieceIndex, target: PieceIndex):

@@ -19,8 +19,7 @@ unreduced whole-block step per pivot, a row taken mod p only when it is
 read, and a dtype and a reduction period chosen from the growth bound.
 A row gets a pivot iff it is independent of the rows before it (the row
 rank profile).  ``solve_mod`` (x @ a = b, free coordinates 0) and
-``kernel_mod`` (right null space) are one ``rref_mod`` each; other modules
-call these, never ``rref_mod``.
+``kernel_mod`` (right null space) are one ``rref_mod`` each.
 
 Cross-checked against the pure-Python ``field`` module in the test suite.
 """

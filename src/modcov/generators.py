@@ -85,22 +85,27 @@ class BetaReport:
 
 @dataclass
 class _Graded:
-    """One graded object as computed so far: generator counts by degree,
-    the minimal generators in discovery order, and the last degree done."""
+    """One graded object so far: counts by degree, the minimal generators in
+    discovery order, the last degree done, and the records ``terms`` builds."""
 
     counts: dict
     gens: list
     done: int = 0
+    _terms: list = field(default_factory=list)
+
+    def terms(self) -> list:
+        """The ``chains.Terms`` of gens in order, new ones built now (for spans only)."""
+        self._terms += map(chains.Terms, self.gens[len(self._terms) :])
+        return self._terms
 
 
-def _transport(g: chains.Terms, blockperm) -> chains.Terms:
-    """g relabeled: block t takes its exponents from block blockperm[t]
+def _transport(f: Polynomial, blockperm) -> Polynomial:
+    """f relabeled: block t takes its exponents from block blockperm[t]
     (blocks of equal size only, an algebra automorphism commuting with the
     group action).  The exponent columns move; the term order stays."""
-    vspec = g.poly.vspec
-    exps = g.exps[:, [var_index(vspec, i, blockperm[j - 1] + 1) for i, j in variables(vspec)]]
-    f = Polynomial(vspec, dict(zip(map(tuple, exps.tolist()), g.coefs.tolist())))
-    return chains.Terms(f, exps)
+    cols = [var_index(f.vspec, i, blockperm[j - 1] + 1) for i, j in variables(f.vspec)]
+    exps = np.array(list(f.terms), dtype=np.int64)[:, cols]  # f is not zero
+    return Polynomial(f.vspec, dict(zip(map(tuple, exps.tolist()), f.terms.values())))
 
 
 class GradedEngine:
@@ -117,7 +122,7 @@ class GradedEngine:
         # algebra generators and k[V] over A (the coinvariants), extended
         # together degree by degree; covariant modules k[V,V_n]^G by n
         self._alg = _Graded({}, [])
-        one = chains.Terms(Polynomial.constant(vspec, 1))
+        one = Polynomial.constant(vspec, 1)
         self._coinv = _Graded({0: 1}, [one])
         self._gamma = None  # known once coinvariants hit zero
         # M^(1) = A is generated by 1; M^(p) = k[V] is the coinvariants' record
@@ -191,14 +196,13 @@ class GradedEngine:
         the canonical pieces (in _compositions order): witnesses depend on
         this order."""
         mds = list(_compositions(d, self.m))
-        produced = {md: [[chains.Terms(f) for f in fs] for fs in piece_gens(md)]
-                    for md in mds if self._canonical_md(md)[0] == md}
+        produced = {md: piece_gens(md) for md in mds if self._canonical_md(md)[0] == md}
         for i, obj in enumerate(objs):
-            new = [g for gs in produced.values() for g in gs[i]]
+            new = [f for fs in produced.values() for f in fs[i]]
             for md in mds:
                 canon, perm = self._canonical_md(md)
                 if canon != md:
-                    new += [_transport(g, perm) for g in produced[canon][i]]
+                    new += [_transport(f, perm) for f in produced[canon][i]]
             obj.gens.extend(new)
             obj.counts[d] = len(new)
             obj.done = d
@@ -263,12 +267,11 @@ class GradedEngine:
         bound = formulas.coinvariant_top_degree_bound(formulas.reduce_V(self.vspec)[0])
         while self._gamma is None or self._alg.done < max(through, self.algebra_cap()):
             d = self._alg.done + 1
-            alg = self._alg.gens
-            half = [g for g in alg if 2 * g.degree <= d]  # they span (A_+^2)_d: module docstring
+            half = [g for g in self._alg.terms() if 2 * g.degree <= d]  # they span (A_+^2)_d
             self._step([self._alg], d, lambda md: [self._covariant_piece(md, d, 1, half, 1)])
             if self._gamma is None:
                 # k[V] is k[V,V_p]^G, and A_+ k[V] is the sum of g * k[V]
-                p = self.p
+                p, alg = self.p, self._alg.terms()
                 self._step([self._coinv], d, lambda md: [self._covariant_piece(md, d, p, alg, p)])
                 zero = self._coinv.counts[d] == 0
                 if zero or d >= bound:
@@ -299,7 +302,7 @@ class GradedEngine:
         ech = Echelon(self.p, pc.index.size)
         out = []
         for n in range(2, self.p):
-            t_n = self._fresh[n].gens if n > 2 else self._cov[2].gens
+            t_n = (self._fresh[n] if n > 2 else self._cov[2]).terms()
             ech.add_rows(np.concatenate([empty] + [r for *_, r in self._span_rows(md, d, t_n, 1)]))
             new = self._new_rows(ech, pc, n)[: 1 if n == 2 else 2]
             out += [[pc.index.vector_to_poly(row) for row in rows] for rows in new]
@@ -332,9 +335,9 @@ def _report(target, obj: _Graded, cap, certificate):
     kept = {d: obj.counts.get(d, 0) for d in range(min(obj.counts), cap + 1)}
     nonzero = [d for d, c in kept.items() if c]
     witnesses = {}
-    for g in obj.gens:
-        if g.degree <= cap:
-            witnesses.setdefault(g.degree, g.poly)
+    for f in obj.gens:
+        if (d := sum(next(iter(f.terms)))) <= cap:  # f is homogeneous
+            witnesses.setdefault(d, f)
     return BetaReport(
         target=target,
         generator_counts=kept,
@@ -362,7 +365,7 @@ def module_generators(vspec: ModuleSpec):
     coinvariant basis), in increasing degree; starts with 1."""
     eng = _engine(vspec)
     eng.ensure_algebra()
-    return [g.poly for g in eng._coinv.gens]
+    return list(eng._coinv.gens)
 
 
 def polynomial_module_beta(vspec: ModuleSpec) -> BetaReport:
@@ -457,7 +460,7 @@ def is_decomposable_invariant(f: Polynomial, lower_gens=None) -> bool:
     if lower_gens is None:
         eng = _engine(f.vspec)
         eng.ensure_algebra(through=f.total_degree())
-        lower_gens = [g.poly for g in eng._alg.gens]
+        lower_gens = eng._alg.gens
     # a constant would put all of k[V]^G_d in the span: positive degrees only
     return span_coefficients(f, [g for g in lower_gens if g.total_degree()]) is not None
 
@@ -470,4 +473,4 @@ def is_decomposable_covariant(h) -> bool:
         raise ValueError("input must be homogeneous")
     eng = _engine(h.vspec)
     eng.ensure_covariant(h.n, through=h.f1.total_degree())
-    return span_coefficients(h.f1, [g.poly for g in eng._cov[h.n].gens]) is not None
+    return span_coefficients(h.f1, eng._cov[h.n].gens) is not None

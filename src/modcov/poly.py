@@ -214,13 +214,13 @@ def _binom_mod(e, k, p: int):
 
 
 def sigma_terms(vspec: ModuleSpec, exps, coefs, src):
-    """sigma of the terms coefs[t] * x^exps[t], each image term tagged src[t].
+    """sigma of the terms coefs[t] * x^exps[t], each image term tagged src[t] >= 0.
 
     The one place where sigma(x_{i,j}) = x_{i,j} + x_{i+1,j} is applied:
     one variable at a time, each block from its bottom row up, so the
     x_{i+1,j} a step adds is already final.  Equal (src, exponent) rows
-    are merged after every step.  ``exps`` is int64, shape (terms, dim V);
-    input and output (src, exponent) rows are distinct.
+    are merged after every step, sorted on ``_packed_keys``.  ``exps`` is
+    int64, shape (terms, dim V); input and output rows are distinct.
     """
     p = vspec.p
     terms = np.column_stack([src, exps])  # column off + i: exponent of x_{i,j}
@@ -235,12 +235,26 @@ def sigma_terms(vspec: ModuleSpec, exps, coefs, src):
             terms, k, coefs = terms[rows[nz]], k[nz], coefs[nz]
             terms[:, c] -= k
             terms[:, c + 1] += k
-            order = np.lexsort(terms.T[::-1])
-            terms, coefs = terms[order], coefs[order]
-            starts = np.flatnonzero(np.diff(terms, axis=0, prepend=-1).any(axis=1))
-            sums = np.add.reduceat(coefs, starts) % p
-            terms, coefs = terms[starts[sums != 0]], sums[sums != 0]
+            keys = _packed_keys(terms)
+            order = np.lexsort(keys[::-1])
+            starts = np.flatnonzero(np.diff(keys[:, order], axis=1, prepend=-1).any(axis=0))
+            sums = np.add.reduceat(coefs[order], starts) % p
+            terms, coefs = terms[order[starts[sums != 0]]], sums[sums != 0]
     return terms[:, 1:], coefs, terms[:, 0]
+
+
+def _packed_keys(terms):
+    """int64 keys, most significant first, ordering the rows of the
+    nonnegative ``terms`` as its columns do: runs of columns packed into
+    exact mixed-radix keys while a key's digit space stays below 2^63."""
+    keys, space = [], 2**63
+    for col, top in zip(terms.T, terms.max(axis=0, initial=0).tolist()):
+        if space * (top + 1) < 2**63:
+            keys[-1], space = keys[-1] * (top + 1) + col, space * (top + 1)
+        else:
+            keys.append(col)
+            space = top + 1
+    return np.array(keys)
 
 
 def apply_sigma(f: Polynomial) -> Polynomial:

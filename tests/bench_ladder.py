@@ -97,7 +97,7 @@ def _span_piece(p, blocks):
     md, n = RREF_PIECE
     eng = generators._engine(module_spec(p, blocks))
     eng.ensure_covariant(n)
-    parts = eng._span_rows(md, sum(md), eng._cov[n].gens, 1)
+    parts = eng._span_rows(md, sum(md), eng._cov[n].terms(), 1)
     return np.concatenate([prod for *_, prod in parts])
 
 

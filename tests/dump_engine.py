@@ -49,8 +49,8 @@ def _report(rep, out):
 
 
 def _gens(label, gens, out):
-    for g in gens:
-        out.append(f"  {label} {g.degree} {g.multidegree}: {format_polynomial(g.poly)}")
+    for f in gens:
+        out.append(f"  {label} {f.total_degree()} {f.multidegree()}: {format_polynomial(f)}")
 
 
 def dump(p, blocks):

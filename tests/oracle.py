@@ -10,7 +10,10 @@ the two.  ``fold_tensor_by_triples`` is the tensor fold one (left chain,
 right chain, template) triple at a time, two small products each: the
 reference for the batched ``chains._fold_tensor``; ``permute_poly`` relabels
 block variables one term at a time, the reference for
-``generators._transport``.
+``generators._transport``.  ``nilpotent_chains_every_level`` is the chain
+construction that runs its kernel, product and insertion at every level,
+the reference for ``chains.nilpotent_chains``, which skips the levels
+where no chain starts.
 """
 
 from collections import Counter
@@ -20,7 +23,7 @@ import numpy as np
 
 from modcov.chains import PieceIndex, _block_delta_chains, _tensor_templates
 from modcov.covariants import Covariant
-from modcov.fastlinalg import matmul_mod
+from modcov.fastlinalg import Echelon, asmod, kernel_mod, matmul_mod
 from modcov.field import FpMatrix, kernel_basis, rref
 from modcov.modules import ModuleSpec, sigma_on_w
 from modcov.poly import Polynomial, _operator_matrix, graded_basis, var_index, variables
@@ -210,3 +213,37 @@ def piece_chains_by_triples(vspec: ModuleSpec, multidegree):
     starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
     level = np.arange(PieceIndex(vspec, multidegree).size) - starts
     return np.concatenate(chains), level, np.repeat(lengths, lengths) - 1 - level
+
+
+def nilpotent_chains_every_level(n_mat, p):
+    """Jordan chains of a nilpotent matrix over F_p, as ``chains.nilpotent_chains``
+    returns them, visiting every level: at level k the vectors of ker N^k
+    whose bottoms N^(k-1) v are independent of the bottoms chosen so far
+    top new chains of length k."""
+    n_mat = asmod(np.asarray(n_mat), p)
+    dim = n_mat.shape[0]
+    if dim == 0:
+        return []
+    powers = [None, n_mat]  # powers[k] = N^k
+    while powers[-1].any():
+        if len(powers) > dim:  # N^dim != 0
+            raise ValueError("matrix is not nilpotent")
+        powers.append(matmul_mod(powers[-1], n_mat, p))
+    top_len = len(powers) - 1  # N^top_len = 0
+    bottoms = Echelon(p, dim)
+    chains = []
+    for k in range(top_len, 0, -1):
+        if k == top_len:  # ker N^k has the basis I, with bottoms (N^(k-1))^T
+            cands = np.eye(dim, dtype=n_mat.dtype)
+            new = bottoms.add_rows(cands if k == 1 else np.ascontiguousarray(powers[k - 1].T))
+        else:
+            cands = kernel_mod(powers[k], p)
+            new = bottoms.add_rows(cands if k == 1 else matmul_mod(cands, powers[k - 1].T, p))
+        if not new:
+            continue
+        levels = [cands[new]]
+        for _ in range(k - 1):
+            levels.append(matmul_mod(levels[-1], n_mat.T, p))
+        chains.extend(np.stack(levels[::-1], axis=1))
+    assert sum(c.shape[0] for c in chains) == dim
+    return chains

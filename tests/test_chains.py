@@ -31,7 +31,12 @@ from modcov.poly import (
     is_invariant,
     weight,
 )
-from oracle import apply_sigma_by_terms, graded_piece_block_structure, piece_chains_by_triples
+from oracle import (
+    apply_sigma_by_terms,
+    graded_piece_block_structure,
+    nilpotent_chains_every_level,
+    piece_chains_by_triples,
+)
 
 SPECS = [
     module_spec(2, [2]),
@@ -105,6 +110,12 @@ def test_nilpotent_chains_structure():
 def test_nilpotent_chains_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         nilpotent_chains(np.eye(3, dtype=np.int64), 3)
+    rng = random.Random(20)
+    swap = np.array([[0, 1], [1, 0]])  # a permutation: N^2 = I
+    idem = np.array([[0, 1], [0, 1]])  # N^k = N for every k
+    for m in (swap, idem, _jordan_in_random_basis(rng, (3, 2), 5) + np.eye(5, dtype=np.int64)):
+        with pytest.raises(ValueError):
+            nilpotent_chains(m, 5)
 
 
 def _green_ring(p, a, b):
@@ -169,6 +180,29 @@ def test_piece_index_lists_monomials_in_kronecker_order():
             assert [tuple(e) for e in PieceIndex(module_spec(v.p, [n]), (d,)).exps.tolist()] == mons
         kron = [sum(parts, ()) for parts in itertools.product(*blocks)]
         assert [tuple(e) for e in PieceIndex(v, md).exps.tolist()] == kron
+
+
+def test_piece_index_lists_every_composition_in_code_order():
+    # the bar positions of itertools.combinations list exactly the monomials
+    # of the recursive _compositions, in the Kronecker order of the sorted
+    # single-block listings, on every single-block piece with d <= 2p,
+    # n <= 6 and size <= 2,000, and on two-block pieces
+    cases = [
+        (module_spec(p, [n]), (d,))
+        for p in (2, 3, 5, 7)
+        for n in range(1, min(p, 6) + 1)
+        for d in range(2 * p + 1)
+        if math.comb(n + d - 1, d) <= 2000
+    ]
+    assert len(cases) == 168
+    for p, blocks in [(3, [3, 2]), (5, [4, 3]), (7, [6, 1])]:
+        cases += [(module_spec(p, blocks), (d1, d2)) for d1 in range(p + 1) for d2 in range(p + 1)]
+    for v, md in cases:
+        blocks = [sorted(_compositions(d, n), key=lambda e: e[::-1]) for n, d in zip(v.blocks, md)]
+        kron = [sum(parts, ()) for parts in itertools.product(*blocks)]
+        index = PieceIndex(v, md)
+        assert index.exps.dtype == np.int64 and index.size == len(kron) == len(set(kron))
+        assert [tuple(e) for e in index.exps.tolist()] == kron, (v, md)
 
 
 def test_piece_index_refuses_a_digit_space_over_2_62():
@@ -393,6 +427,48 @@ def test_nilpotent_chains_pick_the_reference_tops_per_level():
     for m, p in cases:
         got = _chain_sets(nilpotent_chains(m, p))
         assert got == _chain_sets(_chains_by_kernel_levels(m, p))
+
+
+# every single-block piece Sym^d(V_n) on the dense route, d <= p - n, with
+# p <= 13 and dimension <= 400
+DENSE_PIECES = [
+    (p, n, d)
+    for p in (2, 3, 5, 7, 11, 13)
+    for n in range(1, p + 1)
+    for d in range(p - n + 1)
+    if math.comb(n + d - 1, d) <= 400
+]
+
+
+def test_nilpotent_chains_skip_only_levels_where_no_chain_starts():
+    # the chains from the ranks of all powers, visiting only the levels
+    # where a chain starts, equal byte for byte and in order those of the
+    # oracle visiting every level: on the dense block pieces, on Delta of
+    # every V_a (x) V_b (sigma (x) sigma - 1, built here with np.kron) for
+    # p <= 7, and on random conjugates of given Jordan types
+    assert len(DENSE_PIECES) == 202
+    cases = [(_block_delta_matrix(p, n, d), p) for p, n, d in DENSE_PIECES]
+    rng = random.Random(20)
+    for p in (2, 3, 5, 7):
+        for a in range(1, p + 1):
+            for b in range(1, p + 1):
+                sig = [np.eye(k, dtype=np.int64) + np.eye(k, k=1, dtype=np.int64) for k in (a, b)]
+                dmat = np.kron(*sig) - np.eye(a * b, dtype=np.int64)
+                want = nilpotent_chains_every_level(dmat, p)
+                assert _same_chains(_tensor_templates(p, a, b), want), (p, a, b)
+                cases.append((dmat, p))
+        types = [(p,), (p, p), tuple(range(1, p + 1)), (1,) * 5, (p, 1, p - 1 or 1, 1)]
+        cases += [(_jordan_in_random_basis(rng, t, p), p) for t in types]
+        cases += [(np.zeros((4, 4), dtype=np.int64), p), (np.zeros((0, 0), dtype=np.int64), p)]
+    for m, p in cases:
+        assert _same_chains(nilpotent_chains(m, p), nilpotent_chains_every_level(m, p)), (m, p)
+
+
+def _same_chains(got, want):
+    """Same chains in the same order, byte for byte (dtype and shape too)."""
+    return len(got) == len(want) and all(
+        (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()) for g, w in zip(got, want)
+    )
 
 
 # every single-block piece Sym^d(V_n) past degree p - n with p <= 7 and

@@ -247,7 +247,7 @@ def test_span_rows_stay_int8():
     v = module_spec(5, [3, 2])
     eng = GradedEngine(v)
     eng.ensure_covariant(2)
-    gens = eng._cov[2].gens
+    gens = eng._cov[2].terms()
     assert any(g.degree == 0 for g in gens)
     for d in (1, 2, 3):
         for md in _compositions(d, v.num_blocks):
@@ -312,7 +312,7 @@ def test_canonical_md_orbit_transport(blocks):
                 assert canon[perm[t]] == md[t]
             for mon in graded_basis(v, multidegree=canon):
                 f = Polynomial.from_monomial(v, mon)
-                assert _transport(Terms(f), perm).multidegree == md
+                assert _transport(f, perm).multidegree() == md
 
 
 def _same_terms(got, want):
@@ -325,19 +325,25 @@ def _same_terms(got, want):
 
 
 def test_generators_carry_the_term_arrays_of_their_polynomial():
-    # a transported generator permutes the exponent columns of its canonical
-    # generator's arrays: its polynomial is the term-by-term relabeling, and
-    # its arrays are those read from that polynomial
+    # only the objects whose generators span get Terms records, each the
+    # arrays read from its generator; a transported generator permutes the
+    # exponent columns of its canonical one, in the same term order: the
+    # term-by-term relabeling
     eng = GradedEngine(module_spec(3, [3, 3, 2]))
     eng.ensure_covariant(2)
+    assert eng._coinv._terms == [] and eng._cov[3] is eng._coinv
+    assert 0 < len(eng._alg._terms) <= len(eng._alg.gens)
     transported = 0
     for obj in (eng._alg, eng._coinv, eng._cov[2]):
-        for g in obj.gens:
-            assert _same_terms(g, Terms(g.poly))
-            assert g.degree == sum(g.multidegree) and g.multidegree == g.poly.multidegree()
-            transported += eng._canonical_md(g.multidegree)[0] != g.multidegree
-            moved = _transport(g, [1, 0, 2])  # swap the two V_3 blocks
-            assert _same_terms(moved, Terms(permute_poly(g.poly, [1, 0, 2])))
+        if obj is not eng._coinv:
+            for g, f in zip(obj.terms(), obj.gens, strict=True):
+                assert g.poly is f and _same_terms(g, Terms(f))
+                assert g.degree == sum(g.multidegree) and g.multidegree == f.multidegree()
+        for f in obj.gens:
+            transported += eng._canonical_md(f.multidegree())[0] != f.multidegree()
+            moved = _transport(f, [1, 0, 2])  # swap the two V_3 blocks
+            want = permute_poly(f, [1, 0, 2])
+            assert moved == want and list(moved.terms) == list(want.terms)
     assert transported > 50
 
 
@@ -372,7 +378,7 @@ def test_algebra_spans_from_generators_up_to_half_the_degree(p, blocks):
 
     for md, d, gens in calls:
         half = echelon(md, d, gens)
-        full = echelon(md, d, [g for g in eng._alg.gens if g.degree < d])
+        full = echelon(md, d, [g for g in eng._alg.terms() if g.degree < d])
         assert np.array_equal(half.rows, full.rows)
         assert np.array_equal(half.pivcols, full.pivcols)
 
@@ -384,16 +390,15 @@ def test_orbit_pieces_get_equal_counts():
     eng.ensure_covariant(2)
     n2 = eng._cov[2]
     for obj, piece in (
-        (eng._alg, lambda md, d: eng._covariant_piece(md, d, 1, eng._alg.gens, 1)),
-        (eng._coinv, lambda md, d: eng._covariant_piece(md, d, 3, eng._alg.gens, 3)),
-        (n2, lambda md, d: eng._covariant_piece(md, d, 2, n2.gens, 1)),
+        (eng._alg, lambda md, d: eng._covariant_piece(md, d, 1, eng._alg.terms(), 1)),
+        (eng._coinv, lambda md, d: eng._covariant_piece(md, d, 3, eng._alg.terms(), 3)),
+        (n2, lambda md, d: eng._covariant_piece(md, d, 2, n2.terms(), 1)),
     ):
         for d in range(1, obj.done + 1):
             for md in _compositions(d, 2):
                 direct = len(piece(md, d))
                 assert direct == len(piece(eng._canonical_md(md)[0], d))
-                assert direct == sum(g.multidegree == md for g in obj.gens)
-        assert all(g.poly.multidegree() == g.multidegree for g in obj.gens)
+                assert direct == sum(f.multidegree() == md for f in obj.gens)
 
 
 @pytest.mark.parametrize("p, blocks", [(3, [3, 3]), (5, [3, 2])])
@@ -414,8 +419,8 @@ def test_span_duality(p, blocks):
         eng.ensure_covariant(n)
         for d in range(1, cap + 1):
             for md in _compositions(d, len(blocks)):
-                alg = span_rref(md, d, eng._alg.gens, n)
-                assert np.array_equal(alg, span_rref(md, d, eng._cov[n].gens, 1))
+                alg = span_rref(md, d, eng._alg.terms(), n)
+                assert np.array_equal(alg, span_rref(md, d, eng._cov[n].terms(), 1))
 
 
 def _rank(rows, p):
@@ -436,10 +441,10 @@ def test_filtration_pass_matches_the_per_level_route(p, blocks):
     eng._span_rows = lambda md, d, gens, k: used.append(gens) or span_rows(md, d, gens, k)
     eng.ensure_covariant(2)
     eng._span_rows = span_rows
-    levels = [eng._cov[2].gens] + [eng._fresh[n].gens for n in range(3, p)]
+    levels = [eng._cov[2].terms()] + [eng._fresh[n].terms() for n in range(3, p)]
     assert used and all(any(gens is t_n for t_n in levels) for gens in used)
     for n in range(2, p):
-        gens = eng._cov[n].gens
+        gens = eng._cov[n].terms()
         for d in range(1, eng.covariant_cap() + 1):
             for md in _compositions(d, len(blocks)):
                 direct = eng._covariant_piece(md, d, n, gens, 1)
@@ -450,7 +455,7 @@ def test_filtration_pass_matches_the_per_level_route(p, blocks):
                 pc = eng._chains(md)
                 span = [pc.weight_le_matrix(n - 1)]
                 span += [prod for *_, prod in eng._span_rows(md, d, gens, 1)]
-                t_n = eng._fresh[n].gens if n > 2 else gens  # T_1 and T_2 make up G_2
+                t_n = eng._fresh[n].terms() if n > 2 else gens  # T_1 and T_2 make up G_2
                 fresh = [g.poly for g in t_n if g.multidegree == md]
                 fresh = np.array([pc.index.poly_to_vector(f) for f in fresh], dtype=np.int64)
                 low = _rank(span, p)
@@ -486,7 +491,7 @@ def test_covariant_levels_do_not_depend_on_request_order():
     for n in (2, 3, 4):
         reports = [generators._report("m", eng._cov[n], cap, "") for eng in engines]
         assert reports[0] == reports[1] == reports[2]
-        gens = [[g for g in eng._cov[n].gens if g.degree <= cap] for eng in engines]
+        gens = [[f for f in eng._cov[n].gens if f.total_degree() <= cap] for eng in engines]
         assert gens[0] == gens[1] == gens[2]
 
 

@@ -8,6 +8,7 @@ from modcov.field import FpMatrix, rref
 from modcov.modules import module_spec
 from modcov.poly import (
     Polynomial,
+    _packed_keys,
     apply_sigma,
     delta,
     delta_power,
@@ -103,6 +104,30 @@ def test_sigma_matches_term_oracle():
             for t, f in enumerate(polys):
                 got = {tuple(m): int(c) for m, c in zip(exps[src == t].tolist(), coefs[src == t])}
                 assert got == apply_sigma_by_terms(f).terms, (p, blocks, f)
+
+
+def test_sigma_terms_merges_on_several_packed_keys():
+    # src tags up to 2^63 - 1 (about 2^60 apart) leave an int64 key no room
+    # for an exponent column, and x_i^top for every variable (top = 300,
+    # dim V = 8) needs more than one key for the exponents alone: the merge
+    # on those keys still gives sigma of each tagged polynomial, as
+    # multiplied out term by term
+    rng = random.Random(62)
+    cases = [(p, [2, 2], 2 * p) for p in (2, 3, 5, 7)] + [(3, [3, 3, 2], 300), (5, [4, 4], 300)]
+    for p, blocks, top in cases:
+        v = module_spec(p, blocks)
+        powers = Polynomial(v, {tuple(top * (k == i) for k in range(v.dim)): 1 for i in range(v.dim)})
+        polys = [_wide_poly(rng, v, top) for _ in range(5)] + [powers, random_poly(rng, v)]
+        tags = [0, 2**60, 2**63 - 1] + [rng.getrandbits(62) for _ in polys[3:]]
+        rows = [(t, mon, c) for t, f in zip(tags, polys) for mon, c in f.terms.items()]
+        exps = np.array([mon for _, mon, _ in rows], dtype=np.int64).reshape(-1, v.dim)
+        src = np.array([t for t, *_ in rows], dtype=np.int64)
+        keys = _packed_keys(np.column_stack([src, exps]))
+        assert len(keys) >= (3 if top == 300 else 2) and keys.dtype == np.int64
+        out, coefs, out_src = sigma_terms(v, exps, np.array([c for *_, c in rows]), src)
+        for t, f in zip(tags, polys):
+            got = {tuple(m): int(c) for m, c in zip(out[out_src == t].tolist(), coefs[out_src == t])}
+            assert got == apply_sigma_by_terms(f).terms, (p, blocks, f)
 
 
 def test_sigma_has_order_p():
