@@ -31,14 +31,13 @@ bottom k levels, and the Jordan type is the multiset of chain lengths.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .fastlinalg import Echelon, _dtype, asmod, kernel_mod, matmul_mod, rref_mod
 from .modules import ModuleSpec, module_spec
-from .poly import Polynomial, norm, sigma_terms
+from .poly import Polynomial, _composition_rows, norm, sigma_terms
 
 
 # -- nilpotent chain decomposition (dense, small) ----------------------
@@ -170,9 +169,7 @@ class PieceIndex:
         self.weights = np.array(weights, dtype=np.int64)
         exps = np.zeros((1, 0), dtype=np.int64)
         for n, d in zip(vspec.blocks, self.multidegree):
-            # compositions of d into n parts: the gaps between n - 1 bars in d + n - 1 slots
-            bars = np.array(list(itertools.combinations(range(d + n - 1), n - 1)), dtype=np.int64)
-            blk = np.diff(bars, axis=1, prepend=-1, append=d + n - 1) - 1
+            blk = _composition_rows(d, n)
             exps = np.hstack([np.repeat(exps, len(blk), axis=0), np.tile(blk, (len(exps), 1))])
         codes = exps @ self.weights
         order = np.argsort(codes)
@@ -234,11 +231,12 @@ class PieceChains:
 
     @cached_property
     def _invariants(self):
-        return self.rows[self.level == 0]
+        inv = self.rows[self.level == 0]
+        inv.flags.writeable = False
+        return inv
 
     def weight_le_matrix(self, k: int):
-        """Rows: a basis of { f : Delta^k f = 0 } (bottom k chain levels);
-        for k = 1, which every span reads, one copy kept: do not write to it."""
+        """Rows: a basis of { f : Delta^k f = 0 } (bottom k chain levels), read-only for k = 1."""
         return self._invariants if k == 1 else self.rows[self.level < k]
 
     def dim_weight_le(self, k: int) -> int:

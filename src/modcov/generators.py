@@ -91,7 +91,7 @@ class _Graded:
     counts: dict
     gens: list
     done: int = 0
-    _terms: list = field(default_factory=list)
+    _terms: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def terms(self) -> list:
         """The ``chains.Terms`` of gens in order, new ones built now (for spans only)."""

@@ -252,8 +252,7 @@ def _packed_keys(terms):
         if space * (top + 1) < 2**63:
             keys[-1], space = keys[-1] * (top + 1) + col, space * (top + 1)
         else:
-            keys.append(col)
-            space = top + 1
+            keys, space = keys + [col], top + 1
     return np.array(keys)
 
 
@@ -354,15 +353,18 @@ def divide_by_norm(f: Polynomial, j: int):
 # -- graded pieces ----------------------------------------------------
 
 
+def _composition_rows(total: int, parts: int):
+    """int64 rows, increasing lexicographically: the compositions of total >= 0 into
+    parts >= 1 naturals, as the gaps between parts - 1 bars in total + parts - 1 slots."""
+    bars = np.array(list(itertools.combinations(range(total + parts - 1), parts - 1)), np.int64)
+    return np.diff(bars, axis=1, prepend=-1, append=total + parts - 1) - 1
+
+
 def _compositions(total: int, parts: int):
-    """All tuples of `parts` naturals summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of `parts` naturals summing to `total`, decreasing lexicographically."""
+    if parts == 0 or total < 0:
+        return iter([()] if parts == total == 0 else [])
+    return map(tuple, _composition_rows(total, parts)[::-1].tolist())
 
 
 def graded_basis(vspec: ModuleSpec, d=None, multidegree=None) -> list:

@@ -13,7 +13,8 @@ block variables one term at a time, the reference for
 ``generators._transport``.  ``nilpotent_chains_every_level`` is the chain
 construction that runs its kernel, product and insertion at every level,
 the reference for ``chains.nilpotent_chains``, which skips the levels
-where no chain starts.
+where no chain starts.  ``compositions`` lists compositions recursively,
+the reference for the bar-position listing of ``poly._compositions``.
 """
 
 from collections import Counter
@@ -247,3 +248,15 @@ def nilpotent_chains_every_level(n_mat, p):
         chains.extend(np.stack(levels[::-1], axis=1))
     assert sum(c.shape[0] for c in chains) == dim
     return chains
+
+
+def compositions(total: int, parts: int):
+    """All tuples of `parts` naturals summing to `total`, first part
+    largest first, listed recursively."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest

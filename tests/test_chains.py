@@ -33,6 +33,7 @@ from modcov.poly import (
 )
 from oracle import (
     apply_sigma_by_terms,
+    compositions,
     graded_piece_block_structure,
     nilpotent_chains_every_level,
     piece_chains_by_triples,
@@ -171,22 +172,11 @@ def test_piece_index_round_trip():
 
 
 def test_piece_index_lists_monomials_in_kronecker_order():
-    """A multi-block piece lists its monomials block-major, block 1
-    slowest, and each block's monomials with its last variable most
-    significant: the Kronecker order of its single-block pieces."""
-    for v, md in [(module_spec(5, [4, 3]), (3, 2)), (module_spec(3, [3, 2, 2]), (2, 1, 1))]:
-        blocks = [sorted(_compositions(d, n), key=lambda e: e[::-1]) for n, d in zip(v.blocks, md)]
-        for n, d, mons in zip(v.blocks, md, blocks):
-            assert [tuple(e) for e in PieceIndex(module_spec(v.p, [n]), (d,)).exps.tolist()] == mons
-        kron = [sum(parts, ()) for parts in itertools.product(*blocks)]
-        assert [tuple(e) for e in PieceIndex(v, md).exps.tolist()] == kron
-
-
-def test_piece_index_lists_every_composition_in_code_order():
-    # the bar positions of itertools.combinations list exactly the monomials
-    # of the recursive _compositions, in the Kronecker order of the sorted
-    # single-block listings, on every single-block piece with d <= 2p,
-    # n <= 6 and size <= 2,000, and on two-block pieces
+    """A piece lists its monomials block-major, block 1 slowest, and each
+    block's monomials with its last variable most significant: the
+    Kronecker order of its single-block pieces.  Checked against the
+    recursive compositions on every single-block piece with d <= 2p,
+    n <= 6 and size <= 2,000, and on multi-block pieces."""
     cases = [
         (module_spec(p, [n]), (d,))
         for p in (2, 3, 5, 7)
@@ -197,8 +187,11 @@ def test_piece_index_lists_every_composition_in_code_order():
     assert len(cases) == 168
     for p, blocks in [(3, [3, 2]), (5, [4, 3]), (7, [6, 1])]:
         cases += [(module_spec(p, blocks), (d1, d2)) for d1 in range(p + 1) for d2 in range(p + 1)]
+    cases += [(module_spec(5, [4, 3]), (3, 2)), (module_spec(3, [3, 2, 2]), (2, 1, 1))]
     for v, md in cases:
-        blocks = [sorted(_compositions(d, n), key=lambda e: e[::-1]) for n, d in zip(v.blocks, md)]
+        blocks = [sorted(compositions(d, n), key=lambda e: e[::-1]) for n, d in zip(v.blocks, md)]
+        for n, d, mons in zip(v.blocks, md, blocks):
+            assert [tuple(e) for e in PieceIndex(module_spec(v.p, [n]), (d,)).exps.tolist()] == mons
         kron = [sum(parts, ()) for parts in itertools.product(*blocks)]
         index = PieceIndex(v, md)
         assert index.exps.dtype == np.int64 and index.size == len(kron) == len(set(kron))
@@ -258,6 +251,10 @@ def test_weight_le_matrix():
             f = pc.index.vector_to_poly(row)
             assert delta_power(f, k).is_zero()
     assert pc.dim_weight_le(v.p) == pc.index.size
+    # the invariants are kept for every span that reads them: one copy, read-only
+    assert pc.weight_le_matrix(1) is pc.weight_le_matrix(1)
+    with pytest.raises(ValueError):
+        pc.weight_le_matrix(1)[0, 0] = 1
 
 
 def test_multiplication_map_matches_polynomial_product():

@@ -22,6 +22,7 @@ from modcov.fastlinalg import Echelon, matmul_mod, rref_mod
 from modcov.formulas import beta_invariants_formula, coinvariant_top_degree_bound
 from modcov.generators import (
     GradedEngine,
+    _Graded,
     _transport,
     algebra_beta,
     coinvariants_dims,
@@ -333,6 +334,9 @@ def test_generators_carry_the_term_arrays_of_their_polynomial():
     eng.ensure_covariant(2)
     assert eng._coinv._terms == [] and eng._cov[3] is eng._coinv
     assert 0 < len(eng._alg._terms) <= len(eng._alg.gens)
+    # the records are a cache: not part of the object's value
+    copy = _Graded(dict(eng._alg.counts), list(eng._alg.gens), eng._alg.done)
+    assert copy == eng._alg and "_terms" not in repr(copy)
     transported = 0
     for obj in (eng._alg, eng._coinv, eng._cov[2]):
         if obj is not eng._coinv:

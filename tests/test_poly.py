@@ -8,6 +8,7 @@ from modcov.field import FpMatrix, rref
 from modcov.modules import module_spec
 from modcov.poly import (
     Polynomial,
+    _compositions,
     _packed_keys,
     apply_sigma,
     delta,
@@ -23,7 +24,7 @@ from modcov.poly import (
     var_index,
     weight,
 )
-from oracle import apply_sigma_by_terms, graded_piece_block_structure, orbit_sum
+from oracle import apply_sigma_by_terms, compositions, graded_piece_block_structure, orbit_sum
 
 SPECS = [
     module_spec(2, [2]),
@@ -205,6 +206,14 @@ def test_divide_by_norm_reconstructs():
         assert q * norm(v, j) + r == f
         xidx = var_index(v, 1, j)
         assert all(m[xidx] < v.p for m in r.terms)
+
+
+def test_compositions_match_the_recursive_listing():
+    # the bar-position listing, reversed, is the recursive one term for term;
+    # no parts and a negative total are the edge cases
+    for parts in range(7):
+        for total in range(-2, 11):
+            assert list(_compositions(total, parts)) == list(compositions(total, parts)), (total, parts)
 
 
 def test_graded_basis_counts():
