@@ -270,17 +270,19 @@ def _fold_tensor(left, right, p):
 
 class Terms:
     """A nonzero multihomogeneous polynomial ``poly`` and its term arrays,
-    built once: exponent rows ``exps`` and residues ``coefs`` in its term
-    order, ``multidegree`` (checked) and ``degree``."""
+    built once: exponent rows ``exps`` (in the narrowest unsigned type that
+    holds the degree) and residues ``coefs`` in its term order,
+    ``multidegree`` (checked) and ``degree``."""
 
     def __init__(self, f: Polynomial):
         exps = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.vspec.dim)
         mds = np.add.reduceat(exps, np.cumsum((0,) + f.vspec.blocks[:-1]), axis=1)
         if not len(mds) or (mds != mds[0]).any():
             raise ValueError("polynomial is zero or not multihomogeneous")
-        self.poly, self.exps, self.multidegree = f, exps, tuple(mds[0].tolist())
+        self.poly, self.multidegree = f, tuple(mds[0].tolist())
         self.coefs = np.array(list(f.terms.values()), dtype=_dtype(f.vspec.p))
         self.degree = sum(self.multidegree)
+        self.exps = exps.astype(np.min_scalar_type(self.degree))
 
 
 def multiplication_map(g: Terms, source: PieceIndex, target: PieceIndex):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -250,7 +251,9 @@ def cmd_decompose(args) -> int:
 # -- entry point --------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it as is."""
     ap = argparse.ArgumentParser(
         prog="modcov",
         description="Invariants and covariants of Z/p in characteristic p",

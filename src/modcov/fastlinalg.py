@@ -1,13 +1,16 @@
 """numpy-backed exact linear algebra mod p for large graded pieces.
 
 Matrices are stored in ``_dtype(p)`` with entries in [0, p).  Products are
-taken in float64, where they are exact while every value stays below 2^53:
-a dot product over k terms is bounded by k*(p-1)^2, and ``_check_exact``
-refuses a product whose bound k*(p-1)^2 + p reaches 2^53 (the + p leaves
-room for the reduction).  Each product is reduced once, in place, by the
-floor trick x - floor(x/p)*p (FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM
-TOMS 35, 2008) and written back to ``_dtype(p)``, in row chunks of at most
-``_CHUNK`` float64 elements, so the float temporaries stay bounded.
+taken in floats, where they are exact while every value stays below the
+type's 2^24 (float32) or 2^53 (float64): a dot product over k terms is
+bounded by k*(p-1)^2, and the + p of the bound k*(p-1)^2 + p leaves room
+for the reduction.  ``_ftype`` takes float32 while that bound is below
+2^24 (k up to 1,048,575 at p = 5) and float64 past it, as FFLAS-FFPACK
+picks its float type (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008);
+``_check_exact`` refuses a product whose bound reaches 2^53.  Each product
+is reduced once, in place, by the floor trick x - floor(x/p)*p and written
+back to ``_dtype(p)``, in row chunks of at most ``_CHUNK`` float elements,
+so the float temporaries stay bounded.
 
 Rows are inserted by one step, ``_merge``: reduce them against an rref
 (one gemm and one reduction), eliminate what is left, back-reduce the old
@@ -30,7 +33,7 @@ import numpy as np
 
 _BASE_ROWS = 64  # naive elimination below this many rows
 _BLOCK = 1 << 15  # elements reduced at a time, so the temporaries stay in cache
-_CHUNK = 1 << 21  # float64 elements of a product taken at a time (16 MB)
+_CHUNK = 1 << 21  # float elements of a product taken at a time (8 or 16 MB)
 
 
 def _dtype(p: int):
@@ -48,15 +51,24 @@ def _check_exact(k: int, p: int):
         raise OverflowError(f"k*(p-1)^2 + p >= 2^53 for k = {k}, p = {p}: float64 is inexact")
 
 
+def _ftype(k: int, p: int):
+    """The float type whose products over k terms are exact mod p."""
+    _check_exact(k, p)
+    return np.float32 if k * (p - 1) ** 2 + p < 2**24 else np.float64
+
+
 def _reduce_into(x, p: int, out):
-    """out = x mod p for a C-contiguous float64 array x of integers with
-    |x| + p < 2^53; x is overwritten."""
+    """out = x mod p for a C-contiguous float array x of integers with
+    |x| + p below 2^24 (float32) or 2^53 (float64); x is overwritten.
+    x*(1/p) is taken in x's type: for p >= 3 it is then off from x/p by
+    less than 2/p < 1, and for p = 2 it is exact."""
     x, flat = x.reshape(-1), out.reshape(-1)
-    q = np.empty(min(_BLOCK, x.size))
+    q = np.empty(min(_BLOCK, x.size), dtype=x.dtype)
+    inv = x.dtype.type(1 / p)
     for s in range(0, x.size, _BLOCK):
         v = x[s : s + _BLOCK]
         w = q[: v.size]
-        np.multiply(v, 1.0 / p, out=w)
+        np.multiply(v, inv, out=w)
         np.floor(w, out=w)
         w *= p
         v -= w
@@ -73,14 +85,14 @@ def matmul_mod(a, b, p: int):
     m, k = a.shape
     k2, n = b.shape
     assert k == k2
-    _check_exact(k, p)
+    ft = _ftype(k, p)
     if k == 0:
         return np.zeros((m, n), dtype=_dtype(p))
-    bf = b.astype(np.float64)
+    bf = b.astype(ft)
     out = np.empty((m, n), dtype=_dtype(p))
     step = max(1, _CHUNK // max(1, n))
     for r0 in range(0, m, step):
-        _reduce_into(a[r0 : r0 + step].astype(np.float64) @ bf, p, out[r0 : r0 + step])
+        _reduce_into(a[r0 : r0 + step].astype(ft) @ bf, p, out[r0 : r0 + step])
     return out
 
 
@@ -90,12 +102,12 @@ def _reduce_against(m, rows, pivcols, p):
     coef = m[:, pivcols]
     if not coef.any():
         return m
-    _check_exact(len(pivcols), p)
-    rf = rows.astype(np.float64)
+    ft = _ftype(len(pivcols), p)
+    rf = rows.astype(ft)
     out = np.empty(m.shape, dtype=_dtype(p))
     step = max(1, _CHUNK // max(1, m.shape[1]))
     for r0 in range(0, m.shape[0], step):
-        x = coef[r0 : r0 + step].astype(np.float64) @ rf
+        x = coef[r0 : r0 + step].astype(ft) @ rf
         _reduce_into(np.subtract(m[r0 : r0 + step], x, out=x), p, out[r0 : r0 + step])
     return out
 
@@ -214,6 +226,8 @@ class Echelon:
         m), ordered by the pivot column each contributed, not by index.
         Rows of ``_dtype(p)`` must lie in [0, p): checked, not reduced."""
         m = np.atleast_2d(m)
+        if not len(m):
+            return []
         if m.dtype != _dtype(self.p):
             m = asmod(m, self.p)
         elif m.size and (m.min() < 0 or m.max() >= self.p):

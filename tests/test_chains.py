@@ -299,7 +299,7 @@ def test_terms_refuse_a_polynomial_that_is_not_multihomogeneous():
     f = x * y + Polynomial.variable(v, 2, 1) * y
     t = Terms(f)
     assert (t.multidegree, t.degree) == ((1, 1), 2)
-    assert t.exps.tolist() == [list(m) for m in f.terms]
+    assert t.exps.tolist() == [list(m) for m in f.terms] and t.exps.dtype == np.uint8
     assert t.coefs.tolist() == list(f.terms.values())
 
 

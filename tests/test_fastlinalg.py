@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcov import field
+from modcov import fastlinalg, field
 from modcov.fastlinalg import (
     _BASE_ROWS,
     Echelon,
     _check_exact,
     _dtype,
+    _ftype,
     _reduce_against,
     _reduce_into,
     asmod,
@@ -28,6 +29,8 @@ EDGE_PRIMES = (2, 3, 5, 7, 181, 191, 32749)
 # the largest prime with (p-1)^2 + p < 2^53: one product term reaches the
 # float64 bound
 TOP_PRIME = 94906249
+# the largest prime with (p-1)^2 + p < 2^24: one term reaches float32's
+TOP_PRIME32 = 4093
 
 
 def _rand(rng, rows, cols, p):
@@ -172,6 +175,20 @@ def test_add_rows_checks_residue_rows_and_reduces_the_rest():
     assert ech.rows.tolist() == [[1, 2, 0]]
 
 
+def test_add_rows_of_an_empty_batch_changes_nothing(monkeypatch):
+    ech = Echelon(5, 3)
+    ech.add_rows(np.array([[1, 2, 0], [0, 0, 3]]))
+    rows, pivcols = ech.rows, ech.pivcols
+
+    def merge(*args):
+        raise AssertionError("an empty batch reached _merge")
+
+    monkeypatch.setattr(fastlinalg, "_merge", merge)
+    for empty in (np.zeros((0, 3), dtype=_dtype(5)), np.zeros((0, 3), dtype=np.int64)):
+        assert ech.add_rows(empty) == []
+        assert ech.rows is rows and ech.pivcols is pivcols
+
+
 def test_solve_mod_matches_oracle():
     """x @ a = b is the system a^T x = b of ``field.solve``: same answer,
     free coordinates 0, None on the same inconsistent systems."""
@@ -217,6 +234,61 @@ def test_floor_reduction_is_exact_at_its_edges(p):
     assert [int(v) for v in x] == vals  # every value is held exactly
     out = _reduce_into(x, p, np.empty(len(vals), dtype=_dtype(p)))
     assert out.tolist() == [v % p for v in vals]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+def test_float32_floor_reduction_is_exact_at_its_edges(p):
+    """In float32, x*(1/p) is off from x/p by less than 1 while |x| < 2^24,
+    so the floor trick with its correction step equals x % p on every
+    integer with |x| <= 2^24 - p: every residue, every multiple of p and
+    its neighbours, and both ends, in blocks of 2^22."""
+    top = 2**24 - p
+    for s in range(-top, top + 1, 1 << 22):
+        vals = np.arange(s, min(s + (1 << 22), top + 1))
+        x = vals.astype(np.float32)
+        assert np.array_equal(x.astype(np.int64), vals)  # held exactly
+        out = _reduce_into(x, p, np.empty(len(vals), dtype=_dtype(p)))
+        assert np.array_equal(out, vals % p)
+
+
+def _spy_ftypes(monkeypatch):
+    """Record the float type of every product ``_reduce_into`` reduces."""
+    seen, reduce_into = [], fastlinalg._reduce_into
+
+    def spy(x, p, out):
+        seen.append(x.dtype.type)
+        return reduce_into(x, p, out)
+
+    monkeypatch.setattr(fastlinalg, "_reduce_into", spy)
+    return seen
+
+
+def test_products_switch_to_float64_one_term_past_the_float32_bound(monkeypatch):
+    """At p = 5 a product over k <= 1,048,575 terms runs in float32 and one
+    over 1,048,576 in float64; both equal the integer product mod p."""
+    p, seen = 5, _spy_ftypes(monkeypatch)
+    rng = np.random.default_rng(22)
+    for k, ft in ((2**20 - 1, np.float32), (2**20, np.float64)):
+        assert _ftype(k, p) is ft
+        a = rng.integers(0, p, (3, k))
+        b = rng.integers(0, p, (k, 2))
+        a[-1], b[:, -1] = p - 1, p - 1  # the largest sum, k*(p-1)^2
+        seen.clear()
+        assert matmul_mod(a, b, p).tolist() == (a @ b % p).tolist()
+        assert seen == [ft]
+
+
+def test_reduce_against_at_the_float32_bound(monkeypatch):
+    """One pivot at TOP_PRIME32 puts -(p-1)^2 just above -2^24 + p and stays
+    exact in float32; two pivots pass the bound and run in float64."""
+    p, seen = TOP_PRIME32, _spy_ftypes(monkeypatch)
+    rows = np.array([[1, 0, p - 1], [0, 1, p - 1]])
+    m = np.array([[p - 1, 0, 0], [p - 1, p - 1, 5]])
+    got = _reduce_against(asmod(m[:1], p), asmod(rows[:1], p), np.array([0]), p)
+    assert got.tolist() == _reduce_oracle(m[:1], rows[:1], [0], p) == [[0, 0, p - 1]]
+    got = _reduce_against(asmod(m, p), asmod(rows, p), np.array([0, 1]), p)
+    assert got.tolist() == _reduce_oracle(m, rows, [0, 1], p)
+    assert seen == [np.float32, np.float64]
 
 
 def _reduce_oracle(m, rows, pivcols, p):
