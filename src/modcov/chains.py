@@ -226,9 +226,6 @@ class PieceChains:
         self._dim_le = [0] + np.cumsum(np.bincount(self.level)).tolist()  # rows of level < k
         assert self.rows.shape[0] == self.index.size
 
-    def block_lengths(self):
-        return sorted((self.above[self.level == 0] + 1).tolist(), reverse=True)
-
     @cached_property
     def _invariants(self):
         inv = self.rows[self.level == 0]

@@ -163,8 +163,11 @@ def cmd_sweep(args) -> int:
     p_list = _ints(args.p)
     for p in p_list:  # refuse a bad prime before any case runs
         _vspec(p, [])
-    if args.max_piece_dim is not None and args.max_piece_dim < 1:
-        raise UsageError(f"--max-piece-dim must be at least 1, got {args.max_piece_dim}")
+    for flag, value, low in (("--max-blocks", args.max_blocks, 1),
+                             ("--max-block-size", args.max_block_size, 2),
+                             ("--max-piece-dim", args.max_piece_dim, 1)):
+        if value is not None and value < low:  # below these no case would run
+            raise UsageError(f"{flag} must be at least {low}, got {value}")
     w_sizes = _ints(args.w)
     cases = []
     for p in p_list:

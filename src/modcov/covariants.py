@@ -10,10 +10,9 @@ other components from it.
 from __future__ import annotations
 
 from .generators import span_coefficients
-from .modules import ModuleSpec, sigma_on_w
+from .modules import ModuleSpec
 from .poly import (
     Polynomial,
-    apply_sigma,
     delta,
     delta_power,
     delta_power_preimage,
@@ -81,24 +80,6 @@ class Covariant:
         if not delta_power(self.f1, self.n).is_zero():
             raise ChainError(f"Delta^{self.n} of component 1 is nonzero")
 
-    def is_equivariant(self) -> bool:
-        """Direct check of invariance under the diagonal action.
-
-        Collects w-coordinates of sigma(h) = sum_i sigma(f_i) sigma(w_i) and
-        compares with h.  Independent of ``validate_chain``.
-        """
-        comps = self.components
-        sig = [apply_sigma(c) for c in comps]
-        for j in range(1, self.n + 1):
-            acc = Polynomial.zero(self.vspec)
-            for i in range(j, self.n + 1):
-                coef = sigma_on_w(self.wspec, i)[j - 1]
-                if coef:
-                    acc = acc + sig[i - 1].scale(coef)
-            if acc != comps[j - 1]:
-                return False
-        return True
-
     def multidegree(self):
         """Multidegree of f_1 (all components share it)."""
         return None if self.is_zero() else self.f1.multidegree()
@@ -159,13 +140,6 @@ def _checked_weight(f: Polynomial, wspec: ModuleSpec) -> int:
     if w > wspec.blocks[0]:
         raise ValueError(f"weight {w} exceeds dim W = {wspec.blocks[0]}")
     return w
-
-
-def to_weight_poly(h: Covariant) -> Polynomial:
-    """The weight polynomial f_1 of a nonzero covariant."""
-    if h.is_zero():
-        raise ValueError("the zero covariant has no weight polynomial")
-    return h.f1
 
 
 def make_transfer_covariant(f: Polynomial, wspec: ModuleSpec, s: int) -> Covariant:

@@ -70,13 +70,6 @@ class FpMatrix:
             flat.extend(r)
         return cls(field, rows, cols, flat)
 
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "FpMatrix":
-        m = cls(field, n, n)
-        for i in range(n):
-            m.entries[i * n + i] = 1
-        return m
-
     def __getitem__(self, rc):
         r, c = rc
         return self.entries[r * self.cols + c]
@@ -98,29 +91,6 @@ class FpMatrix:
             and self.cols == other.cols
             and self.entries == other.entries
         )
-
-    def mul_vector(self, v: list) -> list:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        p = self.field.p
-        out = []
-        for r in range(self.rows):
-            base = r * self.cols
-            out.append(sum(self.entries[base + c] * v[c] for c in range(self.cols)) % p)
-        return out
-
-    def matmul(self, other: "FpMatrix") -> "FpMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        p = self.field.p
-        out = FpMatrix(self.field, self.rows, other.cols)
-        for r in range(self.rows):
-            arow = self.row(r)
-            for c in range(other.cols):
-                out.entries[r * other.cols + c] = (
-                    sum(arow[k] * other.entries[k * other.cols + c] for k in range(self.cols)) % p
-                )
-        return out
 
     def __repr__(self):
         return f"FpMatrix(p={self.field.p}, {self.rows}x{self.cols})"

@@ -1,16 +1,15 @@
-"""Closed-form Noether bounds and known generator lists.
+"""Closed-form Noether bounds.
 
 These are the predicted values that the brute-force computations in
 ``generators`` are checked against: the case formulas for
 beta(k[V]^G) of a reduced V, the covariant bound (which equals the
-invariant one for V = V_2 and V = 2V_2), the explicit generator lists
-known for V_3 and 2V_2, and the coinvariant top-degree bounds.
+invariant one for V = V_2 and V = 2V_2), and the coinvariant top-degree
+bounds.
 """
 
 from __future__ import annotations
 
 from .modules import ModuleSpec
-from .poly import Polynomial, norm, transfer
 
 # case labels for beta_invariants_formula / beta_covariants_formula
 W_TRIVIAL = "W-trivial"
@@ -90,48 +89,6 @@ def beta_covariants_formula(vspec: ModuleSpec, wspec: ModuleSpec):
     if max(vred.blocks) == 2:
         return vred.num_blocks * (vred.p - 1), ALL_BLOCKS_2_MGE2
     return beta_invariants_formula(vred)
-
-
-def known_generators(vspec: ModuleSpec):
-    """Explicit minimal generating sets known in closed form.
-
-    Covers V = V_3 for p >= 3 (degrees {1, 2, p, p}) and V = 2V_2
-    (degrees {1, 1, 2, p, p}: the two bottom variables, the invariant
-    u = x_{1,1}x_{2,2} - x_{2,1}x_{1,2}, and the two norms; at p = 2 the
-    transfer Tr(x_{1,1}x_{1,2}) = u + x_{2,1}x_{2,2} generates equally
-    well and is listed instead).  Returns [] for anything else.
-    """
-    p = vspec.p
-    if vspec.blocks == (3,) and p >= 3:
-        x1 = Polynomial.variable(vspec, 1, 1)
-        x2 = Polynomial.variable(vspec, 2, 1)
-        x3 = Polynomial.variable(vspec, 3, 1)
-        quad = x2 * x2 - (x1 * x3).scale(2) - x2 * x3
-        tr = transfer(Polynomial.variable(vspec, 1, 1, e=p - 1) * x2)
-        return [x3, quad, norm(vspec, 1), tr]
-    if vspec.blocks == (2, 2) and p == 2:
-        x11 = Polynomial.variable(vspec, 1, 1)
-        x12 = Polynomial.variable(vspec, 1, 2)
-        return [
-            Polynomial.variable(vspec, 2, 1),
-            norm(vspec, 1),
-            Polynomial.variable(vspec, 2, 2),
-            norm(vspec, 2),
-            transfer(x11 * x12),
-        ]
-    if vspec.blocks == (2, 2):
-        x11 = Polynomial.variable(vspec, 1, 1)
-        x21 = Polynomial.variable(vspec, 2, 1)
-        x12 = Polynomial.variable(vspec, 1, 2)
-        x22 = Polynomial.variable(vspec, 2, 2)
-        return [
-            x21,
-            x22,
-            x11 * x22 - x21 * x12,
-            norm(vspec, 1),
-            norm(vspec, 2),
-        ]
-    return []
 
 
 def coinvariant_top_degree_bound(vspec: ModuleSpec) -> int:

@@ -51,8 +51,6 @@ __all__ = [
     "coinvariants_dims",
     "covariant_beta",
     "gamma",
-    "is_decomposable_covariant",
-    "is_decomposable_invariant",
     "module_generators",
     "span_coefficients",
 ]
@@ -444,33 +442,3 @@ def span_coefficients(f: Polynomial, gens):
                 q = eng._chains(qmd).index.vector_to_poly(vec)
                 qs[g.poly] = qs[g.poly] + q if g.poly in qs else q
     return qs
-
-
-def is_decomposable_invariant(f: Polynomial, lower_gens=None) -> bool:
-    """Is f in the subalgebra generated by invariants of smaller degree?
-
-    ``lower_gens`` may list polynomials that generate k[V]^G in degrees
-    below deg f (only their positive-degree members below deg f are used);
-    by default the minimal algebra generators are computed.
-    """
-    if f.is_zero():
-        return True
-    if not f.is_homogeneous():
-        raise ValueError("input must be homogeneous")
-    if lower_gens is None:
-        eng = _engine(f.vspec)
-        eng.ensure_algebra(through=f.total_degree())
-        lower_gens = eng._alg.gens
-    # a constant would put all of k[V]^G_d in the span: positive degrees only
-    return span_coefficients(f, [g for g in lower_gens if g.total_degree()]) is not None
-
-
-def is_decomposable_covariant(h) -> bool:
-    """Is h in the submodule generated by covariants of smaller degree?"""
-    if h.is_zero():
-        return True
-    if not h.f1.is_homogeneous():
-        raise ValueError("input must be homogeneous")
-    eng = _engine(h.vspec)
-    eng.ensure_covariant(h.n, through=h.f1.total_degree())
-    return span_coefficients(h.f1, eng._cov[h.n].gens) is not None

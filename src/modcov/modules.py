@@ -56,21 +56,3 @@ class ModuleSpec:
 
 def module_spec(p: int, blocks) -> ModuleSpec:
     return ModuleSpec(PrimeField(p), blocks)
-
-
-def sigma_on_w(w: ModuleSpec, i: int) -> list:
-    """Coefficient vector of sigma(w_i) in the basis w_1..w_n of a single block."""
-    if w.num_blocks != 1:
-        raise ValueError("sigma_on_w expects a single-block module")
-    n = w.blocks[0]
-    if not 1 <= i <= n:
-        raise IndexError(f"basis index {i} out of range 1..{n}")
-    p = w.p
-    return [((-1) ** (i - j)) % p if j <= i else 0 for j in range(1, n + 1)]
-
-
-def delta_on_w(w: ModuleSpec, i: int) -> list:
-    """sigma(w_i) - w_i; zero for i = 1."""
-    v = sigma_on_w(w, i)
-    v[i - 1] = (v[i - 1] - 1) % w.p
-    return v

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 
 from .modules import ModuleSpec
-from .poly import Polynomial, mon_sort_key, var_index, variables
+from .poly import Polynomial, mon_sort_key, monomial_multidegree, var_index, variables
 
 
 class ParseError(ValueError):
@@ -88,25 +88,20 @@ def parse_polynomial(text: str, vspec: ModuleSpec) -> Polynomial:
 def _parse_term(tz: _Tokenizer, vspec: ModuleSpec) -> Polynomial:
     coeff = 1
     mon = [0] * vspec.dim
-    saw_factor = False
-    kind, val, pos = tz.peek()
+    kind, val, start = tz.peek()
     if kind == "int":
         tz.next()
         coeff = int(val)
-        kind, val, pos = tz.peek()
-        if not (kind == "op" and val == "*"):
+        if tz.peek()[:2] != ("op", "*"):
             return Polynomial.constant(vspec, coeff)
         tz.next()
-    while True:
+    _parse_factor(tz, vspec, mon)
+    while tz.peek()[:2] == ("op", "*"):
+        tz.next()
         _parse_factor(tz, vspec, mon)
-        saw_factor = True
-        kind, val, pos = tz.peek()
-        if kind == "op" and val == "*":
-            tz.next()
-            continue
-        break
-    if not saw_factor:
-        raise ParseError("expected a coefficient or a variable", pos)
+    # sigma moves exponent only within a block, so below 2^63 it stays int64
+    if max(monomial_multidegree(vspec, mon)) >= 2**63:
+        raise ParseError("degree in one block reaches 2^63", start)
     return Polynomial.from_monomial(vspec, mon, coeff)
 
 

@@ -158,13 +158,6 @@ class Polynomial:
             raise ValueError("polynomial is not multihomogeneous")
         return next(iter(mds)) if mds else None
 
-    def homogeneous_components(self):
-        """Split into (total degree -> Polynomial)."""
-        out = {}
-        for m, c in self.terms.items():
-            out.setdefault(sum(m), {})[m] = c
-        return {d: Polynomial(self.vspec, t) for d, t in sorted(out.items())}
-
     def multihomogeneous_components(self):
         out = {}
         for m, c in self.terms.items():
@@ -295,10 +288,6 @@ def weight(f: Polynomial) -> int:
         if d > f.vspec.p:  # unreachable: Delta^p = 0
             raise AssertionError("weight exceeded p")
     return d
-
-
-def is_invariant(f: Polynomial) -> bool:
-    return delta(f).is_zero()
 
 
 @lru_cache(maxsize=None)

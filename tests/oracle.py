@@ -15,6 +15,13 @@ construction that runs its kernel, product and insertion at every level,
 the reference for ``chains.nilpotent_chains``, which skips the levels
 where no chain starts.  ``compositions`` lists compositions recursively,
 the reference for the bar-position listing of ``poly._compositions``.
+
+The rest back tests of their own: ``sigma_on_w`` and ``is_equivariant``
+(the signed action on W of ``modcov.modules``), ``known_generators`` of
+V_3 and 2V_2, ``is_decomposable_invariant``/``_covariant`` (through
+``generators.span_coefficients``, which refuses inhomogeneous input),
+``homogeneous_components``, ``block_lengths`` (a piece's Jordan type), the
+``FpMatrix`` products ``identity``/``mul_vector``/``matmul`` and ``random_poly``.
 """
 
 from collections import Counter
@@ -25,9 +32,19 @@ import numpy as np
 from modcov.chains import PieceIndex, _block_delta_chains, _tensor_templates
 from modcov.covariants import Covariant
 from modcov.fastlinalg import Echelon, asmod, kernel_mod, matmul_mod
-from modcov.field import FpMatrix, kernel_basis, rref
-from modcov.modules import ModuleSpec, sigma_on_w
-from modcov.poly import Polynomial, _operator_matrix, graded_basis, var_index, variables
+from modcov.field import FpMatrix, PrimeField, kernel_basis, rref
+from modcov.generators import _engine, span_coefficients
+from modcov.modules import ModuleSpec
+from modcov.poly import (
+    Polynomial,
+    _operator_matrix,
+    apply_sigma,
+    graded_basis,
+    norm,
+    transfer,
+    var_index,
+    variables,
+)
 
 
 @lru_cache(maxsize=None)
@@ -119,16 +136,16 @@ def decompose_by_delta_ranks(sigma: FpMatrix) -> Counter:
         raise ValueError("sigma must be square")
     power = sigma.copy()
     for _ in range(p - 1):
-        power = power.matmul(sigma)
-    if power != FpMatrix.identity(fld, d):
+        power = matmul(power, sigma)
+    if power != identity(fld, d):
         raise ValueError("input does not have order dividing p")
     delta = sigma.copy()
     for i in range(d):
         delta[i, i] = delta[i, i] - 1
     ranks = [d]  # rank of Delta^0
-    m = FpMatrix.identity(fld, d)
+    m = identity(fld, d)
     while True:
-        m = m.matmul(delta)
+        m = matmul(m, delta)
         _, _, r = rref(m)
         ranks.append(r)
         if r == 0:
@@ -260,3 +277,117 @@ def compositions(total: int, parts: int):
     for first in range(total, -1, -1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def identity(field: PrimeField, n: int) -> FpMatrix:
+    return FpMatrix(field, n, n, [int(r == c) for r in range(n) for c in range(n)])
+
+
+def mul_vector(m: FpMatrix, v: list) -> list:
+    return matmul(m, FpMatrix(m.field, len(v), 1, v)).entries
+
+
+def matmul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    cols = [b.entries[c :: b.cols] for c in range(b.cols)]
+    prods = [sum(x * y for x, y in zip(a.row(r), col)) for r in range(a.rows) for col in cols]
+    return FpMatrix(a.field, a.rows, b.cols, prods)
+
+
+def sigma_on_w(w: ModuleSpec, i: int) -> list:
+    """Coefficient vector of sigma(w_i) in the basis w_1..w_n of a single block."""
+    if w.num_blocks != 1:
+        raise ValueError("sigma_on_w expects a single-block module")
+    n = w.blocks[0]
+    if not 1 <= i <= n:
+        raise IndexError(f"basis index {i} out of range 1..{n}")
+    return [((-1) ** (i - j)) % w.p if j <= i else 0 for j in range(1, n + 1)]
+
+
+def is_equivariant(h: Covariant) -> bool:
+    """Direct check of invariance under the diagonal action.
+
+    Collects w-coordinates of sigma(h) = sum_i sigma(f_i) sigma(w_i) and
+    compares with h.  Independent of ``Covariant.validate_chain``.
+    """
+    comps = h.components
+    sig = [apply_sigma(c) for c in comps]
+    for j in range(1, h.n + 1):
+        acc = Polynomial.zero(h.vspec)
+        for i in range(j, h.n + 1):
+            acc = acc + sig[i - 1].scale(sigma_on_w(h.wspec, i)[j - 1])
+        if acc != comps[j - 1]:
+            return False
+    return True
+
+
+def homogeneous_components(f: Polynomial) -> dict:
+    """Split into (total degree -> Polynomial)."""
+    out = {}
+    for m, c in f.terms.items():
+        out.setdefault(sum(m), {})[m] = c
+    return {d: Polynomial(f.vspec, t) for d, t in sorted(out.items())}
+
+
+def block_lengths(pc) -> list:
+    """Jordan block sizes of a ``chains.PieceChains`` piece, largest first."""
+    return sorted((pc.above[pc.level == 0] + 1).tolist(), reverse=True)
+
+
+def known_generators(vspec: ModuleSpec):
+    """Explicit minimal generating sets known in closed form.
+
+    Covers V = V_3 for p >= 3 (degrees {1, 2, p, p}) and V = 2V_2
+    (degrees {1, 1, 2, p, p}: the two bottom variables, the invariant
+    u = x_{1,1}x_{2,2} - x_{2,1}x_{1,2}, and the two norms; at p = 2 the
+    transfer Tr(x_{1,1}x_{1,2}) = u + x_{2,1}x_{2,2} generates equally
+    well and is listed instead).  Returns [] for anything else.
+    """
+    p = vspec.p
+    if vspec.blocks == (3,) and p >= 3:
+        x1, x2, x3 = (Polynomial.variable(vspec, i, 1) for i in (1, 2, 3))
+        quad = x2 * x2 - (x1 * x3).scale(2) - x2 * x3
+        tr = transfer(Polynomial.variable(vspec, 1, 1, e=p - 1) * x2)
+        return [x3, quad, norm(vspec, 1), tr]
+    if vspec.blocks == (2, 2):
+        x11, x21, x12, x22 = (Polynomial.variable(vspec, i, j) for j in (1, 2) for i in (1, 2))
+        u = transfer(x11 * x12) if p == 2 else x11 * x22 - x21 * x12
+        return [x21, x22, u, norm(vspec, 1), norm(vspec, 2)]
+    return []
+
+
+def is_decomposable_invariant(f: Polynomial, lower_gens=None) -> bool:
+    """Is f in the subalgebra generated by invariants of smaller degree?
+
+    ``lower_gens`` may list polynomials that generate k[V]^G in degrees
+    below deg f (only their positive-degree members below deg f are used);
+    by default the minimal algebra generators are computed.
+    """
+    if f.is_zero():
+        return True
+    if lower_gens is None:
+        eng = _engine(f.vspec)
+        eng.ensure_algebra(through=f.total_degree())
+        lower_gens = eng._alg.gens
+    # a constant would put all of k[V]^G_d in the span: positive degrees only
+    return span_coefficients(f, [g for g in lower_gens if g.total_degree()]) is not None
+
+
+def is_decomposable_covariant(h: Covariant) -> bool:
+    """Is h in the submodule generated by covariants of smaller degree?"""
+    if h.is_zero():
+        return True
+    eng = _engine(h.vspec)
+    eng.ensure_covariant(h.n, through=h.f1.total_degree())
+    return span_coefficients(h.f1, eng._cov[h.n].gens) is not None
+
+
+def random_poly(rng, vspec, max_deg=3, max_terms=4, min_terms=1):
+    terms = {}
+    for _ in range(rng.randrange(min_terms, max_terms + 1)):
+        mon = [0] * vspec.dim
+        for _ in range(rng.randrange(max_deg + 1)):
+            mon[rng.randrange(vspec.dim)] += 1
+        terms[tuple(mon)] = rng.randrange(1, vspec.p)
+    return Polynomial(vspec, terms)

@@ -38,7 +38,13 @@ from modcov.poly import (
     transfer,
     var_index,
 )
-from oracle import covariant_basis
+from oracle import (
+    covariant_basis,
+    is_decomposable_covariant,
+    is_decomposable_invariant,
+    is_equivariant,
+    random_poly,
+)
 
 PRIMES = (2, 3, 5)
 
@@ -78,16 +84,6 @@ def sweep():
             )
         gammas[(p, blocks)] = generators.gamma(v)
     return records, gammas
-
-
-def _random_poly(rng, vspec, max_deg=4, max_terms=5):
-    terms = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        mon = [0] * vspec.dim
-        for _ in range(rng.randrange(max_deg + 1)):
-            mon[rng.randrange(vspec.dim)] += 1
-        terms[tuple(mon)] = rng.randrange(1, vspec.p)
-    return Polynomial(vspec, terms)
 
 
 @pytest.mark.slow
@@ -165,7 +161,7 @@ def test_criterion_4_operator_property_suites():
     for _ in range(1000):
         p = rng.choice((2, 3, 5, 7))
         v = rng.choice(specs[p])
-        f = _random_poly(rng, v, max_deg=3, max_terms=3)
+        f = random_poly(rng, v, max_deg=3, max_terms=3)
         sigma_sum = Polynomial.zero(v)
         g = f
         for _ in range(p):
@@ -177,7 +173,7 @@ def test_criterion_4_operator_property_suites():
     for _ in range(1000):
         p = rng.choice((2, 3, 5, 7))
         v = rng.choice(specs[p])
-        f = _random_poly(rng, v, max_deg=3, max_terms=3)
+        f = random_poly(rng, v, max_deg=3, max_terms=3)
         g = f
         for _ in range(p):
             g = apply_sigma(g)
@@ -198,21 +194,21 @@ def test_criterion_4_operator_property_suites():
         basis = _cached_basis(p, tuple(blocks), n, d)
         for h in basis:
             h.validate_chain()
-            assert h.is_equivariant()
+            assert is_equivariant(h)
             checked += 1
         if basis:
             f1 = Polynomial.zero(v)
             for h in basis:
                 f1 = f1 + h.components[0].scale(rng.randrange(p))
             if not f1.is_zero():
-                assert from_weight_poly(f1, w).is_equivariant()
+                assert is_equivariant(from_weight_poly(f1, w))
                 checked += 1
 
     # (d) divide_by_norm reconstruction with remainder degree < p
     for _ in range(1000):
         p = rng.choice((2, 3, 5, 7))
         v = rng.choice(specs[p])
-        f = _random_poly(rng, v, max_deg=p + 1, max_terms=3)
+        f = random_poly(rng, v, max_deg=p + 1, max_terms=3)
         j = rng.randrange(1, v.num_blocks + 1)
         q, r = divide_by_norm(f, j)
         assert q * norm(v, j) + r == f
@@ -223,7 +219,7 @@ def test_criterion_4_operator_property_suites():
     for _ in range(1000):
         p = rng.choice((2, 3, 5, 7))
         v = rng.choice(specs[p])
-        f = _random_poly(rng, v, max_deg=3, max_terms=3)
+        f = random_poly(rng, v, max_deg=3, max_terms=3)
         basis = _cached_invariants(p, tuple(v.blocks), rng.randrange(1, 3))
         q = Polynomial.zero(v)
         for b in basis:
@@ -298,10 +294,10 @@ def test_criterion_6_degree_p_transfer_is_indecomposable():
     f = Polynomial.variable(v, 1, 1, e=p - 1) * Polynomial.variable(v, 2, 1)
     tr = transfer(f)
     assert not tr.is_zero()
-    assert not generators.is_decomposable_invariant(tr)
+    assert not is_decomposable_invariant(tr)
     w = module_spec(p, [2])
     h = Covariant(v, w, [delta_power(f, p - 2), delta_power(f, p - 1)])
-    assert not generators.is_decomposable_covariant(h)
+    assert not is_decomposable_covariant(h)
 
 
 def test_criterion_7_transfer_covariant_decomposition():
@@ -350,5 +346,5 @@ def test_criterion_8_parser_round_trip():
     ]
     for _ in range(1200):
         v = rng.choice(specs)
-        f = _random_poly(rng, v)
+        f = random_poly(rng, v, max_deg=4, max_terms=5)
         assert parse_polynomial(format_polynomial(f), v) == f

@@ -339,6 +339,7 @@ def test_sweep_exit_codes(argv, tmp_path, capsys):
 
 
 _SWEEP = ["sweep", "--max-blocks", "1", "--max-block-size", "2"]
+_DECOMPOSE = ["decompose", "--p", "5", "--v", "2", "--w", "2", "--j", "1"]
 
 
 @pytest.mark.parametrize(
@@ -357,11 +358,23 @@ _SWEEP = ["sweep", "--max-blocks", "1", "--max-block-size", "2"]
         # a piece-dimension budget below 1 would skip every case or none
         _SWEEP + ["--p", "3", "--w", "2", "--max-piece-dim", "0"],
         _SWEEP + ["--p", "3", "--w", "2", "--max-piece-dim", "-3"],
+        # block ranges with no case in them
+        ["sweep", "--max-blocks", "-1", "--max-block-size", "3", "--p", "5", "--w", "2"],
+        ["sweep", "--max-blocks", "0", "--max-block-size", "3", "--p", "5", "--w", "2"],
+        ["sweep", "--max-blocks", "1", "--max-block-size", "1", "--p", "5", "--w", "2"],
+        # a block degree from 2^63 on would wrap in int64 under sigma
+        ["act", "--p", "5", "--v", "2", "--op", "sigma", "x[1,1]*x[2,1]^9223372036854775807"],
+        ["act", "--p", "5", "--v", "2", "--op", "sigma", "x[1,1]*x[2,1]^99999999999999999999"],
+        _DECOMPOSE + ["x[1,1]*x[2,1]^9223372036854775807"],
+        _DECOMPOSE + ["x[1,1]*x[2,1]^99999999999999999999"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     if argv[0] == "sweep":
         argv = argv + ["--out", str(tmp_path / "r.json")]
+    if argv[0] == "decompose":  # the last argument is the covariant file's line
+        (tmp_path / "h.txt").write_text(argv[-1] + "\n")
+        argv = argv[:-1] + [str(tmp_path / "h.txt")]
     src = os.path.dirname(os.path.dirname(modcov.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(

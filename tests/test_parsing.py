@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from modcov.modules import module_spec
 from modcov.parsing import ParseError, format_polynomial, parse_polynomial
-from modcov.poly import Polynomial
+from modcov.poly import Polynomial, apply_sigma
+from oracle import random_poly
 
 V32 = module_spec(3, [3, 2])
 
@@ -53,14 +54,16 @@ def test_parse_errors_carry_position():
         parse_polynomial("x[1,1", V32)
 
 
-def random_poly(rng, vspec, max_deg=4, max_terms=5):
-    terms = {}
-    for _ in range(rng.randrange(0, max_terms + 1)):
-        mon = [0] * vspec.dim
-        for _ in range(rng.randrange(max_deg + 1)):
-            mon[rng.randrange(vspec.dim)] += 1
-        terms[tuple(mon)] = rng.randrange(1, vspec.p)
-    return Polynomial(vspec, terms)
+def test_block_degree_stops_below_2_63():
+    # sigma moves exponent within a block: a block degree below 2^63 fits int64
+    v = module_spec(5, [2, 1])
+    top = 2**63 - 1
+    f = parse_polynomial(f"x[1,1]*x[2,1]^{top - 1} + x[1,2]^{top}", v)
+    assert apply_sigma(f) == f + Polynomial.variable(v, 2, 1, e=top)
+    for text, pos in ((f"x[1,1]*x[2,1]^{top}", 0), ("x[2,1] + 3*x[2,1]^99999999999999999999", 9)):
+        with pytest.raises(ParseError, match="2\\^63") as e:
+            parse_polynomial(text, v)
+        assert e.value.pos == pos
 
 
 def test_round_trip_random():
@@ -68,7 +71,7 @@ def test_round_trip_random():
     specs = [module_spec(2, [2]), module_spec(3, [3, 2]), module_spec(5, [4, 1])]
     for _ in range(300):
         v = rng.choice(specs)
-        f = random_poly(rng, v)
+        f = random_poly(rng, v, max_deg=4, max_terms=5, min_terms=0)
         assert parse_polynomial(format_polynomial(f), v) == f
 
 
@@ -95,6 +98,6 @@ def test_canonical_string_round_trip():
     # serialize -> parse -> serialize is stable
     rng = random.Random(41)
     for _ in range(100):
-        f = random_poly(rng, V32)
+        f = random_poly(rng, V32, max_deg=4, max_terms=5, min_terms=0)
         s = format_polynomial(f)
         assert format_polynomial(parse_polynomial(s, V32)) == s
